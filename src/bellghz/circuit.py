@@ -205,7 +205,8 @@ def run_pipeline(cfg: PipelineConfig | float) -> PipelineResult:
     for element in elements:
         state = apply_transform(state, element)
     kept, prob = postselect(state, pattern)
-    assert prob > 0.0, "coincidence probability vanished; broken element list?"
+    if not prob > 0.0:
+        raise RuntimeError("coincidence probability vanished; broken element list?")
     return PipelineResult(to_qubits(kept).canonical(), prob)
 
 

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -173,9 +172,7 @@ def _cmd_sweep(args) -> str:
     if args.steps < 2:
         raise UsageError(f"steps must be at least 2, got {args.steps}")
     gammas = [GAMMA_MAX * i / (args.steps - 1) for i in range(args.steps)]
-    # rows are independent; map() preserves index order in the output
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(_sweep_row, gammas))
+    rows = [_sweep_row(g) for g in gammas]
     header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
     return _csv_text(header, rows)
 

@@ -24,12 +24,12 @@ together.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 GAMMA_MIN = 0.0
 GAMMA_MAX = math.pi / 4
@@ -129,6 +129,65 @@ _BRANCHES = {
 }
 
 
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float = 4 * sys.float_info.epsilon,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy's ``brentq.c`` (same defaults, same
+    float operations in the same order), so it returns the same root to
+    the last bit.  Each step interpolates (secant) or extrapolates
+    (inverse quadratic) inside the bracket and falls back to bisection
+    when that step is poor; it stops once half the bracket is below
+    ``delta = (xtol + rtol*|x|)/2``.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent root search did not converge in {maxiter} iterations; last x={xcur!r}")
+
+
 def gamma_for_alpha(target: float, branch: str = "first") -> float:
     """Invert alpha(gamma) on one of its two monotone branches.
 
@@ -153,7 +212,7 @@ def gamma_for_alpha(target: float, branch: str = "first") -> float:
         return lo
     if abs(fhi) < 1e-14:
         return hi
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 class CatalogEntry(NamedTuple):
@@ -191,31 +250,30 @@ def catalog() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-def _class_iiii(gamma: float) -> float:
-    return 1.0
+# |T| of one representative per class as a function of alpha.  Each
+# formula takes a float or a numpy array, so one definition serves both
+# the point evaluation and the grid scan in :func:`find_crossings`.
+def _class_iiii(a):
+    return np.ones_like(a)
 
 
-def _class_0z0z(gamma: float) -> float:
-    a = alpha(gamma)
+def _class_0z0z(a):
     return 1.0 - a * a
 
 
-def _class_00zz(gamma: float) -> float:
-    a = alpha(gamma)
+def _class_00zz(a):
     return abs(1.0 - 2.0 * a * a)
 
 
-def _class_0x0x(gamma: float) -> float:
-    a = alpha(gamma)
-    return math.sqrt(2.0) * abs(a) * math.sqrt(max(0.0, 1.0 - a * a))
+def _class_0x0x(a):
+    return math.sqrt(2.0) * abs(a) * np.sqrt(np.maximum(0.0, 1.0 - a * a))
 
 
-def _class_00xx(gamma: float) -> float:
-    a = alpha(gamma)
+def _class_00xx(a):
     return a * a
 
 
-_CLASS_FUNCS: dict[str, Callable[[float], float]] = {
+_CLASS_FUNCS: dict[str, Callable] = {
     "iiii": _class_iiii,
     "0z0z": _class_0z0z,
     "00zz": _class_00zz,
@@ -231,8 +289,20 @@ def class_moduli(gamma: float) -> dict[str, float]:
     :mod:`bellghz.analysis`; keeping both allows them to check each
     other.
     """
-    g = check_gamma(gamma)
-    return {name: _CLASS_FUNCS[name](g) for name in CLASS_NAMES}
+    a = alpha(gamma)
+    return {name: float(_CLASS_FUNCS[name](a)) for name in CLASS_NAMES}
+
+
+def _grid_moduli(grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Class moduli over an array of angles inside [0, pi/4].
+
+    alpha follows the same expression as :func:`alpha`, with numpy's
+    cos, which may differ from :func:`math.cos` in the last bit.
+    """
+    c4 = np.cos(4 * grid)
+    p = (5.0 - 4.0 * c4 + 3.0 * np.cos(8 * grid)) / 48.0
+    a = 2.0 * c4 / np.sqrt(48.0 * p)
+    return {name: _CLASS_FUNCS[name](a) for name in CLASS_NAMES}
 
 
 class CrossingPoint(NamedTuple):
@@ -282,10 +352,12 @@ def find_crossings(step: float = 1e-4, dedupe: float = 1e-8) -> list[CrossingPoi
     grid and polished by Brent root finding.  Tangential contacts (the
     GHZ point, where three classes touch 1 and two touch 0) produce no
     sign change; they appear as interior local minima of |difference|
-    and are refined by bounded minimization instead.  Roots of the same
-    class pair closer than ``dedupe`` are merged.
+    and are refined by bisecting on the sign of the slope instead.
+    Roots of the same class pair closer than ``dedupe`` are merged.
     """
     grid = np.arange(step, GAMMA_MAX, step)
+    points = grid.tolist()
+    moduli = _grid_moduli(grid)
     found: list[CrossingPoint] = []
     for i in range(len(CLASS_NAMES)):
         for j in range(i + 1, len(CLASS_NAMES)):
@@ -293,14 +365,13 @@ def find_crossings(step: float = 1e-4, dedupe: float = 1e-8) -> list[CrossingPoi
             fb = _CLASS_FUNCS[CLASS_NAMES[j]]
 
             def diff(g: float) -> float:
-                return fa(g) - fb(g)
+                a = alpha(g)
+                return float(fa(a) - fb(a))
 
-            vals = np.array([diff(g) for g in grid])
+            vals = moduli[CLASS_NAMES[i]] - moduli[CLASS_NAMES[j]]
             roots: list[float] = []
             for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-                roots.append(
-                    float(brentq(diff, grid[k], grid[k + 1], xtol=1e-12))
-                )
+                roots.append(_brentq(diff, points[k], points[k + 1], xtol=1e-12))
             absvals = np.abs(vals)
             interior = np.flatnonzero(
                 (absvals[1:-1] < absvals[:-2])
@@ -308,7 +379,7 @@ def find_crossings(step: float = 1e-4, dedupe: float = 1e-8) -> list[CrossingPoi
                 & (absvals[1:-1] < _TOUCH_CANDIDATE)
             )
             for k in interior + 1:
-                g0 = _refine_stationary(diff, grid[k - 1], grid[k + 1])
+                g0 = _refine_stationary(diff, points[k - 1], points[k + 1])
                 if g0 is not None and abs(diff(g0)) <= _TOUCH_ACCEPT:
                     roots.append(g0)
             roots.sort()

@@ -170,6 +170,13 @@ def test_config_gamma_validated():
         PipelineConfig(0.3 * math.pi)
 
 
+def test_run_pipeline_raises_when_no_term_survives():
+    # two photons per output is eight photons from a four-photon emission
+    cfg = PipelineConfig(0.1, postselect_pattern={sp: 2 for sp in OUTPUTS})
+    with pytest.raises(RuntimeError, match="vanished"):
+        run_pipeline(cfg)
+
+
 def test_to_qubits_rejects_bunched_patterns():
     st, _ = postselect(
         apply_transform(spdc_second_order(), pipeline_transform(0.0)),

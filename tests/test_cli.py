@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bellghz import cli
+from bellghz import circuit, cli
 
 SUBCOMMANDS = (
     "derive",
@@ -307,6 +307,14 @@ def test_tomo_rejects_bad_flags(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
+
+
+def test_vanished_coincidence_is_numeric_failure(monkeypatch, capsys):
+    monkeypatch.setattr(circuit, "COINCIDENCE_PATTERN", {sp: 2 for sp in circuit.OUTPUTS})
+    code, out, err = run(["derive", "--gamma", "0.1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "numeric failure" in err
 
 
 def test_outputs_byte_identical(capsys):

@@ -1,10 +1,15 @@
 """Closed-form family: anchors, branch inversion, catalog, crossings."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bellghz
+from bellghz import family
 from bellghz.family import (
     CLASS_NAMES,
     GAMMA_MAX,
@@ -260,6 +265,7 @@ class TestCrossings:
     def test_roots_inside_open_interval_and_deduped(self, crossings):
         assert len(crossings) == 12
         for g, _ in crossings:
+            assert type(g) is float
             assert 0.0 < g < GAMMA_MAX
         per_pair = {}
         for g, pair in crossings:
@@ -271,3 +277,72 @@ class TestCrossings:
     def test_valid_class_names(self, crossings):
         for _, pair in crossings:
             assert set(pair) <= set(CLASS_NAMES)
+
+
+def test_grid_moduli_match_scalar_formulas():
+    grid = np.arange(1e-4, GAMMA_MAX, 1e-4)
+    on_grid = family._grid_moduli(grid)
+    for name in CLASS_NAMES:
+        scalar = np.array([class_moduli(g)[name] for g in grid])
+        assert np.max(np.abs(on_grid[name] - scalar)) <= 1e-12, name
+
+
+def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    port = family._brentq
+    calls = []
+
+    def compared(f, xa, xb, **kwargs):
+        # compare at once: find_crossings rebinds what its closures read
+        root = port(f, xa, xb, **kwargs)
+        assert optimize.brentq(f, xa, xb, **kwargs) == root
+        calls.append(root)
+        return root
+
+    monkeypatch.setattr(family, "_brentq", compared)
+    find_crossings()
+    for _, g, a, branch in family._CATALOG_ROWS:
+        if g is None:
+            gamma_for_alpha(a, branch)
+    assert len(calls) == 8 + 5  # transversal crossings + catalog inversions
+
+    rng = np.random.default_rng(20081)
+    cases = 0
+    for xtol in (1e-12, 2e-12, 1e-14):
+        for _ in range(200):
+            t = rng.uniform(0.01, 0.99)
+            lo, hi = rng.uniform(0.0, 0.2), rng.uniform(0.34, math.pi / 8)
+
+            def f(g, t=t):
+                return alpha(g) - t
+
+            if f(lo) * f(hi) < 0:
+                assert port(f, lo, hi, xtol=xtol) == optimize.brentq(f, lo, hi, xtol=xtol)
+                cases += 1
+            r0, c = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 3.0)
+            lo, hi = r0 - rng.uniform(0.01, 3.0), r0 + rng.uniform(0.01, 3.0)
+
+            def g(x, r0=r0, c=c):
+                return (x - r0) * (c + (x - r0) ** 2) + 1e-3 * math.sin(7.0 * x)
+
+            if g(lo) * g(hi) < 0:
+                assert port(g, lo, hi, xtol=xtol) == optimize.brentq(g, lo, hi, xtol=xtol)
+                cases += 1
+    assert cases > 1000
+
+
+def test_brentq_reports_failures():
+    with pytest.raises(ValueError, match="different signs"):
+        family._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        family._brentq(lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0, xtol=1e-12, maxiter=5)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(bellghz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, bellghz.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert proc.stdout == "[]\n"
