@@ -38,8 +38,8 @@ THREE_TANGLE_ZERO = 1e-6
 def as_density(state) -> np.ndarray:
     """Coerce a state, 16x16 array, or ``.matrix`` carrier to a density matrix.
 
-    Raises ValueError unless the result is Hermitian with unit trace to
-    within DM_TOL.
+    Raises ValueError unless the result is finite and Hermitian with unit
+    trace to within DM_TOL.
     """
     if isinstance(state, QubitState4):
         mat = state.density()
@@ -47,6 +47,8 @@ def as_density(state) -> np.ndarray:
         mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
     if mat.shape != (16, 16):
         raise ValueError("density matrix must be 16x16")
+    if not np.isfinite(mat).all():
+        raise ValueError("density matrix must be finite")
     if np.abs(mat - mat.conj().T).max() > DM_TOL:
         raise ValueError("density matrix must be Hermitian")
     if abs(mat.trace() - 1.0) > DM_TOL:

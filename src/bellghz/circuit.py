@@ -237,6 +237,14 @@ def source_terms() -> list[FockState]:
     ]
 
 
+def source_term_coincidences(gamma: float) -> list[tuple[float, np.ndarray]]:
+    """Coincidence probability and normalized qubit amplitudes (zeros if
+    it never coincides) of each :func:`source_terms` term propagated alone."""
+    u = pipeline_transform(check_gamma(gamma))
+    selected = [postselect(apply_transform(t, u), COINCIDENCE_PATTERN) for t in source_terms()]
+    return [(p, to_qubits(kept).vec if p else np.zeros(16, dtype=complex)) for kept, p in selected]
+
+
 def interference_terms(gamma: float) -> InterferenceReport:
     """How each emission term feeds the coincidence outcome.
 
@@ -247,15 +255,8 @@ def interference_terms(gamma: float) -> InterferenceReport:
     """
     g = check_gamma(gamma)
     final, prob = run_pipeline(PipelineConfig(g))
-    transform = pipeline_transform(g)
-    contribs = []
-    for term in source_terms():
-        propagated = apply_transform(term, transform)
-        kept, p_term = postselect(propagated, COINCIDENCE_PATTERN)
-        if p_term == 0.0:
-            contribs.append(0.0j)
-            continue
-        raw = math.sqrt(p_term) * to_qubits(kept).vec
-        contribs.append(complex(np.vdot(final.vec, raw)))
-    total = complex(sum(contribs))
-    return InterferenceReport(g, tuple(contribs), total, prob)
+    contribs = tuple(
+        complex(np.vdot(final.vec, math.sqrt(p_term) * vec)) if p_term else 0.0j
+        for p_term, vec in source_term_coincidences(g)
+    )
+    return InterferenceReport(g, contribs, complex(sum(contribs)), prob)

@@ -171,7 +171,8 @@ def _sweep_row(g: float) -> list[float]:
 def _cmd_sweep(args) -> str:
     if args.steps < 2:
         raise UsageError(f"steps must be at least 2, got {args.steps}")
-    gammas = [GAMMA_MAX * i / (args.steps - 1) for i in range(args.steps)]
+    # the last grid angle can round one ulp above pi/4 (e.g. N = 14, 100)
+    gammas = [min(GAMMA_MAX, GAMMA_MAX * i / (args.steps - 1)) for i in range(args.steps)]
     rows = [_sweep_row(g) for g in gammas]
     header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
     return _csv_text(header, rows)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from .circuit import (
     COINCIDENCE_PATTERN,
     PipelineConfig,
     REGISTER,
+    SPATIALS,
     pipeline_transform,
     run_pipeline,
-    source_terms,
+    source_term_coincidences,
     spdc_term,
     to_qubits,
 )
@@ -50,8 +52,15 @@ class NoiseConfig:
     depolarizing_q: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.pair_probability < 1.0:
-            raise ValueError("pair_probability must lie in [0, 1)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if not 0.0 <= self.pair_probability <= MAX_PAIR_PROBABILITY:
+            raise ValueError(
+                f"pair_probability {self.pair_probability!r} is outside the supported "
+                f"range [0, {MAX_PAIR_PROBABILITY}]; higher orders would not be negligible"
+            )
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
         if not 0.0 <= self.visibility <= 1.0:
@@ -70,6 +79,13 @@ class NoiseConfig:
         return cls(**data)
 
 
+#: Register positions of each spatial path and the photons a coincidence leaves there.
+_PATHS = [
+    ([i for i, m in enumerate(REGISTER) if m.spatial == sp], COINCIDENCE_PATTERN.get(sp, 0))
+    for sp in SPATIALS
+]
+
+
 def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     """Coincidences the six-photon emission produces after losing two photons.
 
@@ -77,38 +93,48 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     with the efficiency factors stripped: every branch carries the same
     eta^4 (1-eta)^2 and it is reapplied by the caller. Distinct loss
     patterns mark orthogonal environment states, so branches add
-    incoherently.
+    incoherently. A branch is one lost mode pair i <= j.
     """
     out = apply_transform(spdc_term(3), pipeline_transform(gamma))
-    nmodes = len(REGISTER)
+    branches: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
+    for occ, amp in out.amps.items():
+        excess = [sum(occ[i] for i in idxs) - want for idxs, want in _PATHS]
+        if min(excess) < 0 or sum(excess) != 2:
+            continue
+        # the paths the two lost photons come from; the same path twice if it holds three
+        drain = [idxs for (idxs, _), n in zip(_PATHS, excess) for _ in range(n)]
+        for i in drain[0]:
+            for j in drain[1]:
+                if j < i or occ[j] < 1 or occ[i] < 1 + (i == j):
+                    continue
+                factor = math.sqrt(occ[i] * (occ[i] - 1) / 2.0 if i == j else occ[i] * occ[j])
+                lost = list(occ)
+                lost[i] -= 1
+                lost[j] -= 1
+                branches.setdefault((i, j), {})[tuple(lost)] = amp * factor
     rho = np.zeros((16, 16), dtype=complex)
     total = 0.0
-    for i in range(nmodes):
-        for j in range(i, nmodes):
-            branch: dict[tuple[int, ...], complex] = {}
-            for occ, amp in out.amps.items():
-                lost = list(occ)
-                if i == j:
-                    if occ[i] < 2:
-                        continue
-                    factor = math.sqrt(occ[i] * (occ[i] - 1) / 2.0)
-                    lost[i] -= 2
-                else:
-                    if occ[i] < 1 or occ[j] < 1:
-                        continue
-                    factor = math.sqrt(occ[i] * occ[j])
-                    lost[i] -= 1
-                    lost[j] -= 1
-                branch[tuple(lost)] = amp * factor
-            if not branch:
-                continue
-            kept, weight = postselect(FockState(REGISTER, branch), COINCIDENCE_PATTERN)
-            if weight == 0.0:
-                continue
-            phi = to_qubits(kept).vec
-            rho += weight * np.outer(phi, phi.conj())
-            total += weight
+    for pair in sorted(branches):
+        kept, weight = postselect(FockState(REGISTER, branches[pair]), COINCIDENCE_PATTERN)
+        if weight == 0.0:
+            continue
+        phi = to_qubits(kept).vec
+        rho += weight * np.outer(phi, phi.conj())
+        total += weight
     return rho, total
+
+
+def _emission_orders(g: float, cfg: NoiseConfig):
+    """(ideal state, weight_double, c3, rho3, q3) of the two leading emission orders.
+
+    The six-photon weight is c3 * q3; at unit efficiency c3 is 0 and rho3 None.
+    """
+    tau, eta = cfg.pair_probability, cfg.efficiency
+    ideal, p = run_pipeline(PipelineConfig(g))
+    weight_double = 3.0 * tau**4 * eta**4 * p
+    c3 = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2
+    rho3, q3 = _third_order_branches(g) if c3 else (None, 0.0)
+    return ideal, weight_double, c3, rho3, q3
 
 
 def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float]:
@@ -120,27 +146,14 @@ def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float
     emission orders.
     """
     g = check_gamma(gamma)
-    tau = cfg.pair_probability
-    if tau > MAX_PAIR_PROBABILITY:
-        raise ValueError(
-            f"pair_probability {tau!r} exceeds the supported range "
-            f"(<= {MAX_PAIR_PROBABILITY}); higher orders would not be negligible"
-        )
-    if tau == 0.0:
+    if cfg.pair_probability == 0.0:
         return 1.0, 0.0
-    eta = cfg.efficiency
-    ideal, p = run_pipeline(PipelineConfig(g))
-    weight_double = 3.0 * tau**4 * eta**4 * p
-    if eta == 1.0:
-        return 1.0, weight_double
-    rho3, q3 = _third_order_branches(g)
-    weight_triple = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2 * q3
+    ideal, weight_double, c3, rho3, q3 = _emission_orders(g, cfg)
+    weight_triple = c3 * q3
     if weight_triple == 0.0:
         return 1.0, weight_double
     overlap3 = float(np.vdot(ideal.vec, rho3 @ ideal.vec).real)
-    fidelity = (weight_double + 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2 * overlap3) / (
-        weight_double + weight_triple
-    )
+    fidelity = (weight_double + c3 * overlap3) / (weight_double + weight_triple)
     return fidelity, weight_double + weight_triple
 
 
@@ -157,17 +170,9 @@ def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.n
     ideal = state.density()
     if v == 1.0:
         return ideal
-    transform = pipeline_transform(g)
-    mixture = np.zeros((16, 16), dtype=complex)
-    total = 0.0
-    for term in source_terms():
-        propagated = apply_transform(term, transform)
-        kept, weight = postselect(propagated, COINCIDENCE_PATTERN)
-        if weight == 0.0:
-            continue
-        phi = to_qubits(kept).vec
-        mixture += weight * np.outer(phi, phi.conj())
-        total += weight
+    terms = source_term_coincidences(g)
+    mixture = sum(weight * np.outer(phi, phi.conj()) for weight, phi in terms)
+    total = sum(weight for weight, _ in terms)
     return v * ideal + (1.0 - v) * mixture / total
 
 
@@ -188,20 +193,10 @@ def noisy_density_matrix(gamma: float, cfg: NoiseConfig) -> np.ndarray:
     g = check_gamma(gamma)
     ideal = state_at(g).state
     rho = visibility_noise(ideal, g, cfg)
-    tau = cfg.pair_probability
-    eta = cfg.efficiency
-    if tau > 0.0 and eta < 1.0:
-        if tau > MAX_PAIR_PROBABILITY:
-            raise ValueError(
-                f"pair_probability {tau!r} exceeds the supported range "
-                f"(<= {MAX_PAIR_PROBABILITY})"
-            )
-        _, p = run_pipeline(PipelineConfig(g))
-        rho3, q3 = _third_order_branches(g)
-        weight_double = 3.0 * tau**4 * eta**4 * p
-        weight_triple = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2 * q3
+    if cfg.pair_probability > 0.0 and cfg.efficiency < 1.0:
+        _, weight_double, c3, rho3, q3 = _emission_orders(g, cfg)
+        weight_triple = c3 * q3
         if weight_triple > 0.0:
-            rho = (weight_double * rho + weight_triple * rho3 / q3) / (
-                weight_double + weight_triple
-            )
+            total = weight_double + weight_triple
+            rho = (weight_double * rho + weight_triple * rho3 / q3) / total
     return depolarize(rho, cfg.depolarizing_q)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import AXES, PAULI, WitnessReport, as_density, evaluate_witness
+from .analysis import AXES, WitnessReport, _PAULI_STACK, as_density, evaluate_witness
 from .family import check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
@@ -33,8 +33,6 @@ _SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
 OUTCOMES = tuple(
     "".join("+-"[(o >> (3 - k)) & 1] for k in range(4)) for o in range(16)
 )
-
-_DM_TOL = 1e-9
 
 # Bras of the +/- eigenvectors per measurement letter, row 0 = +.
 _BRAS = {
@@ -69,20 +67,15 @@ def _setting_bra(setting: str) -> np.ndarray:
 _SETTING_BRAS = {s: _setting_bra(s) for s in SETTINGS}
 
 
-def _pauli_stack() -> np.ndarray:
-    mats = []
-    for labels in itertools.product(AXES, repeat=4):
-        m = PAULI[labels[0]]
-        for a in labels[1:]:
-            m = np.kron(m, PAULI[a])
-        mats.append(m)
-    return np.array(mats)
-
-
-_SIGMA = _pauli_stack()
-_TERM_INDEX = {
-    "".join(t): i for i, t in enumerate(itertools.product(AXES, repeat=4))
-}
+# the 256 four-qubit Pauli products, term t = 64 a + 16 b + 4 c + d over AXES
+_SIGMA = np.einsum("aij,bkl,cmn,dop->abcdikmojlnp", *[_PAULI_STACK] * 4).reshape(256, 16, 16)
+# term each (setting, subset mask) measures, setting-major: the setting's axis on
+# the mask's slots and the identity elsewhere; and how often each term is measured
+_TERM_OF = np.array([
+    sum(AXES.index(s[k]) << 2 * (3 - k) for k in range(4) if mask & (1 << (3 - k)))
+    for s in SETTINGS for mask in range(16)
+])
+_HITS = np.bincount(_TERM_OF)
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,10 @@ class CountRecord:
             raise ValueError(f"unknown setting {self.setting!r}")
         if len(self.counts) != 16:
             raise ValueError("need one count per 16 outcomes")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
+        if any(not 0 <= c < math.inf for c in self.counts):
+            raise ValueError("counts must be finite and non-negative")
+        if not 0 < self.shots < math.inf:
+            raise ValueError("shots must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -116,13 +109,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (16, 16):
-            raise ValueError("density matrix must be 16x16")
-        if np.abs(mat - mat.conj().T).max() > _DM_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(mat.trace() - 1.0) > _DM_TOL:
-            raise ValueError("density matrix must have unit trace")
+        mat = as_density(np.array(self.matrix, dtype=complex))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -184,6 +171,9 @@ def _project_to_physical(mat: np.ndarray) -> np.ndarray:
 
     Works on the spectrum: eigenvalues are projected onto the probability
     simplex (shift by a constant, clip at zero, renormalize via the shift).
+    This is the projection of Smolin, Gambetta and Smith, "Efficient
+    method for computing the maximum-likelihood quantum state from
+    measurements with additive Gaussian noise", PRL 108, 070502 (2012).
     """
     vals, vecs = np.linalg.eigh(mat)
     u = np.sort(vals)[::-1]
@@ -218,23 +208,15 @@ def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion"
             f"missing {len(missing)} of 81 settings (first: {missing[0]!r})"
         )
 
-    sums = np.zeros(256)
-    hits = np.zeros(256)
-    for setting in SETTINGS:
-        rec = by_setting[setting]
-        counts = np.asarray(rec.counts, dtype=float)
+    expectations = np.empty((len(SETTINGS), 16))
+    for i, setting in enumerate(SETTINGS):
+        counts = np.asarray(by_setting[setting].counts, dtype=float)
         total = counts.sum()
         if total <= 0:
             raise ValueError(f"setting {setting!r} has all-zero counts")
-        expectations = _SUBSET_SIGNS @ (counts / total)
-        for mask in range(16):
-            label = "".join(
-                setting[k] if mask & (1 << (3 - k)) else "0" for k in range(4)
-            )
-            idx = _TERM_INDEX[label]
-            sums[idx] += expectations[mask]
-            hits[idx] += 1.0
-    tensor = sums / hits
+        expectations[i] = _SUBSET_SIGNS @ (counts / total)
+    # bincount adds in input order, so each term sums its settings in SETTINGS order
+    tensor = np.bincount(_TERM_OF, weights=expectations.ravel()) / _HITS
     mat = np.einsum("t,tij->ij", tensor, _SIGMA) / 16.0
     if method == "physical-projection":
         mat = _project_to_physical(mat)

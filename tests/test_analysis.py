@@ -73,6 +73,8 @@ def test_correlations_reject_bad_inputs():
         correlations(MIXED + 0.1j * np.eye(16))
     with pytest.raises(ValueError, match="16x16"):
         correlations(np.eye(4) / 4.0)
+    with pytest.raises(ValueError, match="finite"):
+        correlations(np.full((16, 16), np.nan))
 
 
 def test_as_density_accepts_matrix_carrier():

@@ -176,6 +176,18 @@ def test_sweep_rejects_single_step(capsys):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize("steps", [14, 100])
+def test_sweep_grid_ends_exactly_at_quarter_pi(steps, capsys):
+    # (steps - 1) * (pi/4) / (steps - 1) rounds one ulp above pi/4 here
+    code, out, _ = run(["sweep", "--steps", str(steps)], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == steps
+    last = rows[-1].split(",")
+    assert last[0] == cli._fmt(math.pi / 4)
+    assert last[1] == "0.25"
+
+
 def test_catalog_lists_nine(capsys):
     code, out, _ = run(["catalog"], capsys)
     assert code == 0
@@ -248,6 +260,15 @@ def test_witness_rejects_bad_noise(capsys):
         ["witness", "--gamma", "0", "--noise-json", '{"bogus": 1}'], capsys
     )
     assert code == 2
+    assert "bad noise config" in err
+
+
+@pytest.mark.parametrize("command", ["witness", "tomo", "noise"])
+@pytest.mark.parametrize("noise", ['{"pair_probability": 0.5}', '{"efficiency": true}'])
+def test_every_noise_command_rejects_the_same_configs(command, noise, capsys):
+    code, out, err = run([command, "--gamma", "0.1", "--noise-json", noise], capsys)
+    assert code == 2
+    assert out == ""
     assert "bad noise config" in err
 
 

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from bellghz.analysis import fidelity
+from bellghz.circuit import (
+    COINCIDENCE_PATTERN,
+    REGISTER,
+    pipeline_transform,
+    spdc_term,
+    to_qubits,
+)
 from bellghz.family import catalog, probability, state_at
+from bellghz.fock import FockState, apply_transform, postselect
 from bellghz.imperfections import (
     MAX_PAIR_PROBABILITY,
     NoiseConfig,
+    _third_order_branches,
     depolarize,
     higher_order_fourfolds,
     noisy_density_matrix,
@@ -38,6 +47,13 @@ def test_config_defaults_are_noiseless():
         {"visibility": -0.2},
         {"visibility": 1.01},
         {"depolarizing_q": 2.0},
+        {"pair_probability": 0.5},
+        {"pair_probability": math.nan},
+        {"efficiency": math.inf},
+        {"efficiency": True},
+        {"visibility": "0.9"},
+        {"pair_probability": 0.05j},
+        {"depolarizing_q": None},
     ],
 )
 def test_config_rejects_out_of_range(kwargs):
@@ -51,6 +67,9 @@ def test_config_json_round_trip():
     assert NoiseConfig.from_json(cfg.to_json()) == cfg
     with pytest.raises(ValueError):
         NoiseConfig.from_json("[1, 2]")
+    with pytest.raises(ValueError, match="real number"):
+        NoiseConfig.from_json('{"efficiency": true}')
+    assert NoiseConfig.from_json('{"efficiency": 1}').efficiency == 1
     with pytest.raises(TypeError):
         NoiseConfig.from_json('{"detector_count": 8}')
 
@@ -169,3 +188,50 @@ def test_noisy_fidelity_dips_in_the_interior():
             for g in (0.0, PSI4P_GAMMA, math.pi / 4)}
     assert fids[PSI4P_GAMMA] < fids[0.0]
     assert fids[PSI4P_GAMMA] < fids[math.pi / 4]
+
+
+def _brute_force_branches(gamma):
+    """Loss-branch sum by exhaustion: every one of the 136 mode pairs is
+    removed from every propagated six-photon term, then post-selected."""
+    out = apply_transform(spdc_term(3), pipeline_transform(gamma))
+    nmodes = len(REGISTER)
+    rho = np.zeros((16, 16), dtype=complex)
+    total = 0.0
+    for i in range(nmodes):
+        for j in range(i, nmodes):
+            branch = {}
+            for occ, amp in out.amps.items():
+                lost = list(occ)
+                if i == j:
+                    if occ[i] < 2:
+                        continue
+                    factor = math.sqrt(occ[i] * (occ[i] - 1) / 2.0)
+                    lost[i] -= 2
+                else:
+                    if occ[i] < 1 or occ[j] < 1:
+                        continue
+                    factor = math.sqrt(occ[i] * occ[j])
+                    lost[i] -= 1
+                    lost[j] -= 1
+                branch[tuple(lost)] = amp * factor
+            if not branch:
+                continue
+            kept, weight = postselect(FockState(REGISTER, branch), COINCIDENCE_PATTERN)
+            if weight == 0.0:
+                continue
+            phi = to_qubits(kept).vec
+            rho += weight * np.outer(phi, phi.conj())
+            total += weight
+    return rho, total
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    sorted({e.gamma for e in catalog()})
+    + [float(g) for g in np.random.default_rng(20).uniform(0.0, math.pi / 4, 20)],
+)
+def test_third_order_branches_equal_the_exhaustive_search(gamma):
+    rho, total = _third_order_branches(gamma)
+    want_rho, want_total = _brute_force_branches(gamma)
+    assert total == want_total
+    np.testing.assert_array_equal(rho, want_rho)

@@ -12,6 +12,7 @@ from bellghz.tomo import (
     CountRecord,
     DensityMatrix,
     OUTCOMES,
+    RECONSTRUCTION_METHODS,
     SETTINGS,
     exact_frequency_records,
     read_counts,
@@ -64,6 +65,11 @@ def test_count_record_validation():
         CountRecord("zzzz", (-1,) + (0,) * 15, 10.0)
     with pytest.raises(ValueError, match="positive"):
         CountRecord("zzzz", (0,) * 16, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CountRecord("zzzz", (bad,) + (1,) * 15, 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            CountRecord("zzzz", (1,) * 16, bad)
 
 
 def test_simulate_counts_deterministic():
@@ -199,6 +205,9 @@ def test_read_counts_rejects_malformed(tmp_path):
     bad.write_text("setting,outcome,count\nzzzz,++++,0\n")
     with pytest.raises(ValueError, match="all-zero"):
         read_counts(bad)
+    bad.write_text("setting,outcome,count\nzzzz,++++,3\nzzzz,+++-,nan\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_counts(bad)
 
 
 def test_density_matrix_json_round_trip():
@@ -216,6 +225,48 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(16) / 16 + 0.001j * np.eye(16))
     with pytest.raises(ValueError, match="unit trace"):
         DensityMatrix(np.eye(16))
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(np.full((16, 16), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(np.eye(16) / 16 + np.diag([np.inf] + [0.0] * 15))
+
+
+def test_density_matrix_owns_a_frozen_copy():
+    source = np.eye(16, dtype=complex) / 16
+    dm = DensityMatrix(source)
+    source[0, 0] = 1.0
+    assert dm.matrix[0, 0] == 1 / 16
+    assert not dm.matrix.flags.writeable
+
+
+def test_random_count_tables_reconstruct_or_raise():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a random table of small counts with a few cells overwritten by any float
+    value = st.sampled_from([math.nan, math.inf, -1.0, 0.0]) | st.floats()
+    cell = st.tuples(st.integers(0, 80), st.integers(0, 15), value)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 1000),
+        st.lists(cell, max_size=8),
+        st.sampled_from(RECONSTRUCTION_METHODS),
+    )
+    def check(seed, high, cells, method):
+        rows = np.random.default_rng(seed).integers(0, high, size=(81, 16)).tolist()
+        for s, o, value in cells:
+            rows[s][o] = value
+        try:
+            records = [CountRecord(s, tuple(r), 1.0) for s, r in zip(SETTINGS, rows)]
+            mat = reconstruct(records, method=method).matrix
+        except ValueError:
+            return
+        assert np.isfinite(mat).all()
+        assert np.abs(mat - mat.conj().T).max() <= 1e-9
+        assert abs(mat.trace() - 1.0) <= 1e-9
+
+    check()
 
 
 def test_reconstruct_and_report_ideal():
