@@ -18,6 +18,7 @@ Bell pairs and a GHZ state.  The subpackages follow that pipeline:
 from .analysis import (
     CorrelationTensor,
     biseparable_bound,
+    biseparable_bounds,
     correlation_classes,
     correlations,
     dicke_projection,
@@ -71,6 +72,7 @@ __all__ = [
     "__version__",
     "alpha",
     "biseparable_bound",
+    "biseparable_bounds",
     "catalog",
     "class_moduli",
     "correlation_classes",

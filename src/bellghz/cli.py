@@ -156,29 +156,28 @@ def _cmd_derive(args) -> str:
     return head + "amplitudes:\n" + body
 
 
-def _sweep_row(g: float) -> list[float]:
-    moduli = family.class_moduli(g)
-    return [
-        g,
-        g / math.pi,
-        family.alpha(g),
-        family.probability(g),
-        *(moduli[name] for name in CLASS_NAMES),
-        analysis.biseparable_bound(g),
-    ]
-
-
 def _cmd_sweep(args) -> str:
     if args.steps < 2:
         raise UsageError(f"steps must be at least 2, got {args.steps}")
     # the last grid angle can round one ulp above pi/4 (e.g. N = 14, 100)
     gammas = [min(GAMMA_MAX, GAMMA_MAX * i / (args.steps - 1)) for i in range(args.steps)]
-    rows = [_sweep_row(g) for g in gammas]
+    alphas = [family.alpha(g) for g in gammas]
+    a = np.array(alphas)
+    columns = [
+        gammas,
+        [g / math.pi for g in gammas],
+        alphas,
+        [family.probability(g) for g in gammas],
+        *(family._CLASS_FUNCS[name](a).tolist() for name in CLASS_NAMES),
+        analysis.biseparable_bounds(gammas),
+    ]
     header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
-    return _csv_text(header, rows)
+    return _csv_text(header, zip(*columns))
 
 
 def _cmd_catalog(args) -> str:
+    entries = family.catalog()
+    bounds = analysis.biseparable_bounds([entry.gamma for entry in entries])
     rows = [
         {
             "name": entry.name,
@@ -186,9 +185,9 @@ def _cmd_catalog(args) -> str:
             "gamma_in_pi": entry.gamma / math.pi,
             "alpha": entry.alpha,
             "probability": family.probability(entry.gamma),
-            "c_bound": analysis.biseparable_bound(entry.gamma),
+            "c_bound": c_bound,
         }
-        for entry in family.catalog()
+        for entry, c_bound in zip(entries, bounds)
     ]
     if args.json:
         return _json_text(rows)

@@ -107,19 +107,31 @@ class FamilyPoint(NamedTuple):
     state: QubitState4
 
 
+# |psi+>|psi+> spreads over the four single-V-per-pair terms;
+# |GHZ> = (|HHVV> + |VVHH>)/sqrt(2)
+_BELL_TERMS = [0b0101, 0b0110, 0b1001, 0b1010]
+_GHZ_TERMS = [0b0011, 0b1100]
+
+
+def _amplitudes(a):
+    """The 16 amplitudes of the family state with Bell-pair amplitude ``a``.
+
+    ``a`` is a float or an array of them; the basis index is the last
+    axis, so N alphas give N state vectors from the same float operations
+    as one.
+    """
+    a = np.asarray(a, dtype=float)
+    vec = np.zeros(a.shape + (16,), dtype=complex)
+    vec[..., _BELL_TERMS] = (a / 2.0)[..., None]
+    vec[..., _GHZ_TERMS] = (np.sqrt(np.maximum(0.0, 1.0 - a * a)) / math.sqrt(2.0))[..., None]
+    return vec
+
+
 def state_at(gamma: float) -> FamilyPoint:
     """Family member at ``gamma``, built from the closed form."""
     g = check_gamma(gamma)
     a = alpha(g)
-    b = math.sqrt(max(0.0, 1.0 - a * a))
-    vec = np.zeros(16, dtype=complex)
-    # |psi+>|psi+> spreads over the four single-V-per-pair terms
-    for idx in (0b0101, 0b0110, 0b1001, 0b1010):
-        vec[idx] = a / 2.0
-    # |GHZ> = (|HHVV> + |VVHH>)/sqrt(2)
-    for idx in (0b0011, 0b1100):
-        vec[idx] = b / math.sqrt(2.0)
-    return FamilyPoint(g, a, probability(g), QubitState4(vec))
+    return FamilyPoint(g, a, probability(g), QubitState4(_amplitudes(a)))
 
 
 _BRANCHES = {

@@ -127,7 +127,17 @@ class DensityMatrix:
         data = json.loads(text)
         if not isinstance(data, dict) or set(data) != {"real", "imag"}:
             raise ValueError("expected a JSON object with 'real' and 'imag'")
-        return cls(np.array(data["real"]) + 1j * np.array(data["imag"]))
+        try:
+            real, imag = (np.array(data[key], dtype=object) for key in ("real", "imag"))
+            # bools, null, strings, objects and ragged rows are not numbers
+            if any(type(x) not in (int, float) for x in (*real.flat, *imag.flat)):
+                raise TypeError("entries must be numbers")
+            if real.shape != imag.shape:
+                raise ValueError(f"shapes {real.shape} and {imag.shape} differ")
+            mat = real.astype(float) + 1j * imag.astype(float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"'real' and 'imag' must be matrices of numbers: {exc}") from None
+        return cls(mat)
 
 
 def setting_probabilities(state, setting: str) -> np.ndarray:
@@ -233,6 +243,8 @@ def reconstruct_and_report(
     """End-to-end loop: noisy state, counts, reconstruction, witness.
 
     ``shots=None`` uses exact frequencies instead of Poisson sampling.
+    Raises RuntimeError when the sampled counts of some setting are all
+    zero, since more shots are needed to reconstruct.
     """
     g = check_gamma(gamma)
     rho = noisy_density_matrix(g, cfg)
@@ -240,6 +252,14 @@ def reconstruct_and_report(
         records = exact_frequency_records(rho)
     else:
         records = simulate_counts(rho, shots, seed)
+        # a Poisson draw that leaves a setting empty is a numeric failure of
+        # valid input, unlike an all-zero setting in the caller's own records
+        empty = [rec.setting for rec in records if not any(rec.counts)]
+        if empty:
+            raise RuntimeError(
+                f"{shots!r} shots per setting left {len(empty)} of 81 settings without "
+                f"counts (first: {empty[0]!r}); more shots are needed"
+            )
     dm = reconstruct(records, method=method)
     return evaluate_witness(dm, g), dm
 

@@ -16,6 +16,7 @@ from bellghz.analysis import (
     SettingCover,
     as_density,
     biseparable_bound,
+    biseparable_bounds,
     correlation_classes,
     correlations,
     dicke_projection,
@@ -28,7 +29,16 @@ from bellghz.analysis import (
     setting_cover,
     three_tangle,
 )
-from bellghz.family import QubitState4, catalog, class_moduli, state_at
+from bellghz import cli
+from bellghz.family import (
+    CLASS_NAMES,
+    QubitState4,
+    alpha,
+    catalog,
+    class_moduli,
+    probability,
+    state_at,
+)
 
 MIXED = np.eye(16, dtype=complex) / 16.0
 GENERIC_GAMMAS = [0.03 * math.pi, 0.05 * math.pi, math.pi / 12, 0.13 * math.pi,
@@ -146,6 +156,47 @@ def test_biseparable_bound_range():
     for g in np.linspace(0, math.pi / 4, 41):
         c = biseparable_bound(g)
         assert 0.25 - 1e-12 <= c <= 1.0 + 1e-12
+
+
+def per_cut_bound(gamma):
+    """c(gamma) the unbatched way: 7 separate SVDs of one state vector."""
+    vec = state_at(gamma).state.vec.reshape(2, 2, 2, 2)
+    best = 0.0
+    for cut in BIPARTITIONS:
+        rest = tuple(q for q in range(4) if q not in cut)
+        mat = vec.transpose(cut + rest).reshape(2 ** len(cut), -1)
+        top = np.linalg.svd(mat, compute_uv=False)[0]
+        best = max(best, float(top**2))
+    return best
+
+
+def sweep_grid(steps):
+    return [min(math.pi / 4, math.pi / 4 * i / (steps - 1)) for i in range(steps)]
+
+
+def test_biseparable_bounds_equal_the_per_cut_loop():
+    rng = np.random.default_rng(11)
+    grids = [[e.gamma for e in catalog()], rng.uniform(0, math.pi / 4, 50).tolist()]
+    grids += [sweep_grid(n) for n in [*range(2, 121), 901, 951, 1001]]
+    for gammas in grids:
+        assert biseparable_bounds(gammas) == [per_cut_bound(g) for g in gammas]
+    for g in grids[0]:
+        assert biseparable_bound(g) == per_cut_bound(g)
+    assert biseparable_bounds([]) == []
+    with pytest.raises(ValueError, match="pi/4"):
+        biseparable_bounds([0.1, 1.0])
+
+
+@pytest.mark.parametrize("steps", [2, 14, 97, 101, 951])
+def test_sweep_rows_equal_the_scalar_route(steps, capsys):
+    rows = []
+    for g in sweep_grid(steps):
+        moduli = class_moduli(g)
+        rows.append([g, g / math.pi, alpha(g), probability(g),
+                     *(moduli[name] for name in CLASS_NAMES), per_cut_bound(g)])
+    header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
+    assert cli.main(["sweep", "--steps", str(steps)]) == 0
+    assert capsys.readouterr().out == cli._csv_text(header, rows)
 
 
 def test_dicke_two_two_schmidt_spectrum():

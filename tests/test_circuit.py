@@ -138,6 +138,18 @@ def test_oracle_equivalence_on_grid():
         assert p == pytest.approx(pt.probability, abs=1e-10)
 
 
+def test_pipeline_matches_closed_form_at_random_angles():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.floats(0.0, math.pi / 4))
+    def check(gamma):
+        simulated = run_pipeline(gamma)
+        assert abs(state_at(gamma).state.overlap(simulated.state)) >= 1 - 1e-12
+
+    check()
+
+
 def test_simulated_sign_of_bell_part():
     # past the GHZ point the Bell-pair amplitude turns negative
     for g in (0.15 * math.pi, 0.2 * math.pi, math.pi / 4):

@@ -1,5 +1,7 @@
 """Flag parsing, output formats, exit codes, and determinism of the CLI."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -323,6 +325,88 @@ def test_tomo_rejects_bad_flags(capsys):
     assert "at least 1" in err
     code, _, _ = run(["tomo", "--gamma", "0", "--method", "mle"], capsys)
     assert code == 2
+
+
+def test_too_few_shots_is_numeric_failure(capsys):
+    # a Poisson draw leaves settings empty: valid flags, numeric failure
+    code, out, err = run(["tomo", "--gamma", "0.1", "--shots", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "more shots are needed" in err
+
+
+#: Flags each subcommand accepts, by the names of the strategies below.
+FLAG_GRAMMAR = {
+    "derive": ("gamma", "json", "table", "out"),
+    "sweep": ("steps", "out"),
+    "catalog": ("json", "out"),
+    "crossings": ("all", "json", "out"),
+    "correlations": ("gamma", "json", "out"),
+    "witness": ("gamma", "noise", "json", "out"),
+    "tomo": ("gamma", "shots", "seed", "method", "noise", "json", "out"),
+    "noise": ("gamma", "noise", "json", "out"),
+}
+
+
+def test_random_argv_exits_with_a_documented_code(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    good = tmp_path / "noise.json"
+    good.write_text('{"pair_probability": 0.02, "efficiency": 0.5}')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"efficiency": "high"}')
+    noise = st.sampled_from([
+        '{"depolarizing_q": 0.1}', '{"visibility": 0.9, "pair_probability": 0.01}',
+        '{"bogus": 1}', '{"efficiency": true}', '{"pair_probability": 0.5}', "{",
+        str(good), str(bad), str(tmp_path / "missing.json"), str(tmp_path),
+    ])
+    gamma = st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "-0", "0", "0.3pi", "", "pi", "0.25pi",
+                         "0.125pi", "1e-300", "twelve"]),
+        st.floats(-0.1, 0.9).map(repr),
+        st.floats(0.0, 0.26).map(lambda x: f"{x}pi"),
+    )
+    values = {
+        "gamma": gamma.map(lambda g: ["--gamma", g]),
+        "steps": st.integers(-3, 300).map(lambda n: ["--steps", str(n)]),
+        "shots": st.integers(-1, 200).map(lambda n: ["--shots", str(n)]),
+        "seed": st.integers(-2, 2**40).map(lambda n: ["--seed", str(n)]),
+        "method": st.sampled_from(["linear-inversion", "physical-projection", "mle"]).map(
+            lambda m: ["--method", m]
+        ),
+        "noise": noise.map(lambda text: ["--noise-json", text]),
+        "json": st.just(["--json"]),
+        "table": st.just(["--table"]),
+        "all": st.just(["--all"]),
+        "out": st.sampled_from(["out.txt", "no/such/dir.txt", ""]).map(
+            lambda name: ["--out", str(tmp_path / name)]
+        ),
+    }
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(FLAG_GRAMMAR)))
+        # the required --gamma, optional flags of the command, sometimes a foreign one
+        names = [name for name in FLAG_GRAMMAR[command]
+                 if name == "gamma" or draw(st.booleans())]
+        if draw(st.integers(0, 4)) == 0:
+            names.append(draw(st.sampled_from(sorted(values))))
+        return [command] + [piece for name in draw(st.permutations(names))
+                            for piece in draw(values[name])]
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert (out.getvalue() == "") == ("--out" in argv)
+        else:
+            assert out.getvalue() == "" and err.getvalue() != ""
+
+    check()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 """Count simulation, reconstruction, and I/O for the tomography loop."""
 
+import json
 import math
 
 import numpy as np
@@ -218,6 +219,24 @@ def test_density_matrix_json_round_trip():
         DensityMatrix.from_json('{"real": []}')
 
 
+@pytest.mark.parametrize(
+    "entry", ['"x"', "null", "RAGGED", '{"re": 0}', "false", "[0]"]
+)
+def test_density_matrix_json_rejects_non_numbers(entry):
+    # one off-diagonal zero of the maximally mixed state replaced by the entry
+    rows = [["0.0625" if i == j else "0" for j in range(16)] for i in range(16)]
+    if entry == "RAGGED":
+        del rows[3][5]
+    else:
+        rows[0][1] = entry
+    real = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    imag = json.dumps(np.zeros((16, 16)).tolist())
+    with pytest.raises(ValueError, match="matrices of numbers"):
+        DensityMatrix.from_json(f'{{"real": {real}, "imag": {imag}}}')
+    with pytest.raises(ValueError, match="matrices of numbers"):
+        DensityMatrix.from_json(f'{{"real": {imag}, "imag": [[0]]}}')
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="16x16"):
         DensityMatrix(np.eye(4))
@@ -290,6 +309,18 @@ def test_reconstruct_and_report_depolarized_endpoints():
     assert report.fidelity == pytest.approx(0.809, abs=1e-3)
     assert report.c == pytest.approx(biseparable_bound(math.pi / 12))
     assert report.detected
+
+
+def test_too_few_sampled_shots_is_a_numeric_failure(tmp_path):
+    with pytest.raises(RuntimeError, match="more shots are needed"):
+        reconstruct_and_report(0.1, NoiseConfig(), shots=1, seed=0)
+    # the same counts handed in by the caller are bad input
+    records = simulate_counts(state_at(0.1).state, 1, seed=0)
+    with pytest.raises(ValueError, match="all-zero"):
+        reconstruct(records)
+    write_counts(records, tmp_path / "counts.csv")
+    with pytest.raises(ValueError, match="all-zero"):
+        read_counts(tmp_path / "counts.csv")
 
 
 def test_reconstruct_and_report_sampled():
