@@ -15,87 +15,45 @@ Bell pairs and a GHZ state.  The subpackages follow that pipeline:
 - :mod:`bellghz.cli`             command-line front end
 """
 
-from .analysis import (
-    CorrelationTensor,
-    biseparable_bound,
-    biseparable_bounds,
-    correlation_classes,
-    correlations,
-    dicke_projection,
-    evaluate_witness,
-    fidelity,
-    fidelity_from_cover,
-    lu_invariance_check,
-    pairwise_witness,
-    setting_cover,
-    three_tangle,
-)
-from .circuit import PipelineConfig, PipelineResult, run_pipeline
-from .family import (
-    CatalogEntry,
-    CrossingPoint,
-    FamilyPoint,
-    QubitState4,
-    alpha,
-    catalog,
-    class_moduli,
-    find_crossings,
-    gamma_for_alpha,
-    probability,
-    state_at,
-)
-from .imperfections import NoiseConfig, higher_order_fourfolds, noisy_density_matrix
-from .tomo import (
-    CountRecord,
-    DensityMatrix,
-    exact_frequency_records,
-    read_counts,
-    reconstruct,
-    reconstruct_and_report,
-    simulate_counts,
-    write_counts,
-)
+import importlib
+
+#: Public names by the submodule that defines them.  They are re-exported
+#: lazily (PEP 562), so ``import bellghz`` loads neither numpy nor any
+#: submodule; a name's module is imported when the name is first used.
+_EXPORTS = {
+    "analysis": (
+        "CorrelationTensor", "biseparable_bound", "biseparable_bounds",
+        "correlation_classes", "correlations", "dicke_projection", "evaluate_witness",
+        "fidelity", "fidelity_from_cover", "lu_invariance_check", "pairwise_witness",
+        "setting_cover", "three_tangle",
+    ),
+    "circuit": ("PipelineConfig", "PipelineResult", "run_pipeline"),
+    "family": (
+        "CatalogEntry", "CrossingPoint", "FamilyPoint", "QubitState4", "alpha", "catalog",
+        "class_moduli", "find_crossings", "gamma_for_alpha", "probability", "state_at",
+    ),
+    "imperfections": ("NoiseConfig", "higher_order_fourfolds", "noisy_density_matrix"),
+    "tomo": (
+        "CountRecord", "DensityMatrix", "exact_frequency_records", "read_counts",
+        "reconstruct", "reconstruct_and_report", "simulate_counts", "write_counts",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "CorrelationTensor",
-    "CountRecord",
-    "CrossingPoint",
-    "DensityMatrix",
-    "FamilyPoint",
-    "NoiseConfig",
-    "PipelineConfig",
-    "PipelineResult",
-    "QubitState4",
-    "__version__",
-    "alpha",
-    "biseparable_bound",
-    "biseparable_bounds",
-    "catalog",
-    "class_moduli",
-    "correlation_classes",
-    "correlations",
-    "dicke_projection",
-    "evaluate_witness",
-    "exact_frequency_records",
-    "fidelity",
-    "fidelity_from_cover",
-    "find_crossings",
-    "gamma_for_alpha",
-    "higher_order_fourfolds",
-    "lu_invariance_check",
-    "noisy_density_matrix",
-    "pairwise_witness",
-    "probability",
-    "read_counts",
-    "reconstruct",
-    "reconstruct_and_report",
-    "run_pipeline",
-    "setting_cover",
-    "simulate_counts",
-    "state_at",
-    "three_tangle",
-    "write_counts",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -169,24 +169,36 @@ def fidelity(rho, gamma: float) -> float:
 #: The 7 bipartitions of four qubits: every cut is named by its smaller
 #: side, with qubit 0 kept on the named side for the 2|2 cuts.
 BIPARTITIONS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
+#: The 2|2 cuts, the only ones c needs (see :func:`biseparable_bounds`).
+_DECISIVE_CUTS = BIPARTITIONS[4:]
 
 
 def biseparable_bounds(gammas) -> list[float]:
     """Maximal overlap c(gamma) of the family state with any biseparable state.
 
     c is the largest squared Schmidt coefficient over the 7 bipartitions,
-    the top singular value of the reshaped amplitude matrix.  The N states
-    are stacked, so each bipartition is one ``np.linalg.svd`` over N
-    matrices: 7 calls for the whole list, and each stacked singular value
+    the top singular value of the reshaped amplitude matrix.  Only the
+    three 2|2 cuts are computed: the four 1|3 cuts give exactly 1/2,
+    because every single-qubit marginal is maximally mixed, while the 2|2
+    cuts give c = max(alpha^2, (|alpha|/2 + sqrt((1 - alpha^2)/2))^2),
+    which is at least 1/2.
+    """
+    return _bounds_at_alphas([alpha(g) for g in gammas])
+
+
+def _bounds_at_alphas(alphas: list[float]) -> list[float]:
+    """c for the family states of the given Bell-pair amplitudes.
+
+    The N states are stacked, so each cut is one ``np.linalg.svd`` over N
+    matrices: 3 calls for the whole list, and each stacked singular value
     equals the one of its matrix alone.  The squaring stays scalar,
     ``t ** 2`` on a Python float, which is libm ``pow``; numpy's array
     ``**2`` computes ``t * t`` and differs in the last bit for about one
     angle in 3,000.
     """
-    alphas = [alpha(g) for g in gammas]
     vecs = _amplitudes(alphas).reshape(-1, 2, 2, 2, 2)
     best = [0.0] * len(alphas)
-    for cut in BIPARTITIONS:
+    for cut in _DECISIVE_CUTS:
         rest = tuple(q for q in range(4) if q not in cut)
         axes = (0, *(q + 1 for q in cut + rest))
         mats = vecs.transpose(axes).reshape(len(alphas), 2 ** len(cut), 2 ** len(rest))

@@ -8,7 +8,13 @@ significant digits and all randomness is seeded, so identical flag sets
 produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
+
+Each command imports numpy and the library modules it runs inside its
+handler, so ``--help``, ``--version`` and flag errors start without numpy
+and no command loads a module it does not use.
 """
+
+from __future__ import annotations
 
 import argparse
 import csv
@@ -17,13 +23,13 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from . import __version__
 
-from . import __version__, analysis, family, imperfections, tomo
-from .circuit import run_pipeline
-from .family import CLASS_NAMES, GAMMA_MAX
+if TYPE_CHECKING:
+    from .family import CrossingPoint
+    from .imperfections import NoiseConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,8 +57,10 @@ def parse_angle(text: str) -> float:
         raise UsageError(
             f"cannot parse angle {text!r}; give radians or a pi multiple like 0.125pi"
         ) from None
+    from .family import check_gamma
+
     try:
-        return family.check_gamma(value)
+        return check_gamma(value)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -100,16 +108,18 @@ def _basis_label(index: int) -> str:
     return "".join("HV"[(index >> (3 - k)) & 1] for k in range(4))
 
 
-def _noise_config(text: str | None) -> imperfections.NoiseConfig:
+def _noise_config(text: str | None) -> NoiseConfig:
     """Noise settings from an inline JSON object or a file containing one."""
+    from .imperfections import NoiseConfig
+
     if text is None:
-        return imperfections.NoiseConfig()
+        return NoiseConfig()
     raw = text.strip()
     if not raw.startswith("{"):
         with open(raw, encoding="utf-8") as fh:
             raw = fh.read()
     try:
-        return imperfections.NoiseConfig.from_json(raw)
+        return NoiseConfig.from_json(raw)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad noise config: {exc}") from None
 
@@ -128,7 +138,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_derive(args) -> str:
     g = parse_angle(args.gamma)
-    point = family.state_at(g)
+    from .circuit import run_pipeline
+    from .family import state_at
+
+    point = state_at(g)
     simulated = run_pipeline(g)
     overlap = abs(point.state.overlap(simulated.state))
     amps = {_basis_label(i): float(point.state.vec[i].real) for i in range(16)}
@@ -159,6 +172,11 @@ def _cmd_derive(args) -> str:
 def _cmd_sweep(args) -> str:
     if args.steps < 2:
         raise UsageError(f"steps must be at least 2, got {args.steps}")
+    import numpy as np
+
+    from . import analysis, family
+    from .family import CLASS_NAMES, GAMMA_MAX
+
     # the last grid angle can round one ulp above pi/4 (e.g. N = 14, 100)
     gammas = [min(GAMMA_MAX, GAMMA_MAX * i / (args.steps - 1)) for i in range(args.steps)]
     alphas = [family.alpha(g) for g in gammas]
@@ -169,13 +187,15 @@ def _cmd_sweep(args) -> str:
         alphas,
         [family.probability(g) for g in gammas],
         *(family._CLASS_FUNCS[name](a).tolist() for name in CLASS_NAMES),
-        analysis.biseparable_bounds(gammas),
+        analysis._bounds_at_alphas(alphas),
     ]
     header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
     return _csv_text(header, zip(*columns))
 
 
 def _cmd_catalog(args) -> str:
+    from . import analysis, family
+
     entries = family.catalog()
     bounds = analysis.biseparable_bounds([entry.gamma for entry in entries])
     rows = [
@@ -195,9 +215,11 @@ def _cmd_catalog(args) -> str:
     return _csv_text(header, [[row[key] for key in header] for row in rows])
 
 
-def _crossing_clusters() -> list[list[family.CrossingPoint]]:
-    clusters: list[list[family.CrossingPoint]] = []
-    for point in family.find_crossings():
+def _crossing_clusters() -> list[list[CrossingPoint]]:
+    from .family import find_crossings
+
+    clusters: list[list[CrossingPoint]] = []
+    for point in find_crossings():
         if clusters and abs(point.gamma - clusters[-1][0].gamma) <= 1e-6:
             clusters[-1].append(point)
         else:
@@ -206,6 +228,8 @@ def _crossing_clusters() -> list[list[family.CrossingPoint]]:
 
 
 def _cmd_crossings(args) -> str:
+    from .family import alpha
+
     rows = []
     for cluster in _crossing_clusters():
         if not args.all and len(cluster) != 1:
@@ -215,7 +239,7 @@ def _cmd_crossings(args) -> str:
                 {
                     "gamma": point.gamma,
                     "gamma_in_pi": point.gamma / math.pi,
-                    "alpha": family.alpha(point.gamma),
+                    "alpha": alpha(point.gamma),
                     "class_a": point.classes[0],
                     "class_b": point.classes[1],
                 }
@@ -228,6 +252,9 @@ def _cmd_crossings(args) -> str:
 
 def _cmd_correlations(args) -> str:
     g = parse_angle(args.gamma)
+    from . import analysis
+    from .family import CLASS_NAMES
+
     moduli = analysis.correlation_classes(g)
     if args.json:
         return _json_text(
@@ -251,8 +278,10 @@ def _cmd_correlations(args) -> str:
 def _cmd_witness(args) -> str:
     g = parse_angle(args.gamma)
     cfg = _noise_config(args.noise_json)
-    rho = imperfections.noisy_density_matrix(g, cfg)
-    report = analysis.evaluate_witness(rho, g)
+    from .analysis import evaluate_witness
+    from .imperfections import noisy_density_matrix
+
+    report = evaluate_witness(noisy_density_matrix(g, cfg), g)
     pairs = [
         ("gamma", g),
         ("gamma_in_pi", g / math.pi),
@@ -271,10 +300,15 @@ def _cmd_tomo(args) -> str:
     cfg = _noise_config(args.noise_json)
     if args.shots is not None and args.shots < 1:
         raise UsageError(f"shots must be at least 1, got {args.shots}")
-    report, dm = tomo.reconstruct_and_report(
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    from .analysis import pairwise_witness
+    from .tomo import reconstruct_and_report
+
+    report, dm = reconstruct_and_report(
         g, cfg, shots=args.shots, seed=args.seed, method=args.method
     )
-    front, back = analysis.pairwise_witness(dm)
+    front, back = pairwise_witness(dm)
     pairs = [
         ("gamma", g),
         ("gamma_in_pi", g / math.pi),
@@ -298,8 +332,10 @@ def _cmd_tomo(args) -> str:
 def _cmd_noise(args) -> str:
     g = parse_angle(args.gamma)
     cfg = _noise_config(args.noise_json)
-    fourfold_fidelity, fourfold_weight = imperfections.higher_order_fourfolds(g, cfg)
-    rho = imperfections.noisy_density_matrix(g, cfg)
+    from .analysis import fidelity
+    from .imperfections import noise_report
+
+    fourfold_fidelity, fourfold_weight, rho = noise_report(g, cfg)
     pairs = [
         ("gamma", g),
         ("gamma_in_pi", g / math.pi),
@@ -310,7 +346,7 @@ def _cmd_noise(args) -> str:
         ("fourfold_fidelity", fourfold_fidelity),
         ("fourfold_reduction", 1.0 - fourfold_fidelity),
         ("fourfold_weight", fourfold_weight),
-        ("state_fidelity", analysis.fidelity(rho, g)),
+        ("state_fidelity", fidelity(rho, g)),
     ]
     if args.json:
         return _json_text(dict(pairs))
@@ -454,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S", help="RNG seed (default 0)")
     p.add_argument(
         "--method",
-        choices=tomo.RECONSTRUCTION_METHODS,
+        # tomo.RECONSTRUCTION_METHODS, written out so that parsing needs no numpy
+        choices=("linear-inversion", "physical-projection"),
         default="physical-projection",
         help="reconstruction method (default physical-projection)",
     )
@@ -490,10 +527,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"bellghz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except np.linalg.LinAlgError as exc:
-        print(f"bellghz: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:
+        from numpy.linalg import LinAlgError  # a ValueError, but a numeric failure
+
+        if isinstance(exc, LinAlgError):
+            print(f"bellghz: numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
         print(f"bellghz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, ArithmeticError) as exc:

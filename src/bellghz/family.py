@@ -44,7 +44,7 @@ CLASS_NAMES = ("iiii", "0z0z", "00zz", "0x0x", "00xx")
 
 
 def check_gamma(gamma: float) -> float:
-    g = float(gamma)
+    g = float(gamma) + 0.0  # -0.0 + 0.0 is +0.0: an angle of -0 is returned as 0
     if not GAMMA_MIN <= g <= GAMMA_MAX:
         raise ValueError(
             f"gamma must lie in [0, pi/4] = [0, {GAMMA_MAX!r}] rad; got {g!r}"

@@ -5,6 +5,10 @@ order leaking into the coincidence window once photons can be lost, and
 imperfect interference at the overlap stage. Both are modeled on top of
 the exact pipeline of :mod:`bellghz.circuit`; a white-noise admixture is
 included as a catch-all for everything not modeled explicitly.
+
+:mod:`bellghz.circuit` and :mod:`bellghz.fock` are imported by the
+functions that propagate photons, so a noise configuration without
+higher-order emission or reduced visibility never loads them.
 """
 
 from __future__ import annotations
@@ -16,19 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .circuit import (
-    COINCIDENCE_PATTERN,
-    PipelineConfig,
-    REGISTER,
-    SPATIALS,
-    pipeline_transform,
-    run_pipeline,
-    source_term_coincidences,
-    spdc_term,
-    to_qubits,
-)
 from .family import QubitState4, check_gamma, state_at
-from .fock import FockState, apply_transform, postselect
 
 #: Largest pair-emission strength the truncated expansion supports;
 #: beyond this the neglected fourth order is no longer subleading.
@@ -79,13 +71,6 @@ class NoiseConfig:
         return cls(**data)
 
 
-#: Register positions of each spatial path and the photons a coincidence leaves there.
-_PATHS = [
-    ([i for i, m in enumerate(REGISTER) if m.spatial == sp], COINCIDENCE_PATTERN.get(sp, 0))
-    for sp in SPATIALS
-]
-
-
 def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     """Coincidences the six-photon emission produces after losing two photons.
 
@@ -95,14 +80,29 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     patterns mark orthogonal environment states, so branches add
     incoherently. A branch is one lost mode pair i <= j.
     """
+    from .circuit import (
+        COINCIDENCE_PATTERN,
+        REGISTER,
+        SPATIALS,
+        pipeline_transform,
+        spdc_term,
+        to_qubits,
+    )
+    from .fock import FockState, apply_transform, postselect
+
+    # register positions of each spatial path and the photons a coincidence leaves there
+    paths = [
+        ([i for i, m in enumerate(REGISTER) if m.spatial == sp], COINCIDENCE_PATTERN.get(sp, 0))
+        for sp in SPATIALS
+    ]
     out = apply_transform(spdc_term(3), pipeline_transform(gamma))
     branches: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
     for occ, amp in out.amps.items():
-        excess = [sum(occ[i] for i in idxs) - want for idxs, want in _PATHS]
+        excess = [sum(occ[i] for i in idxs) - want for idxs, want in paths]
         if min(excess) < 0 or sum(excess) != 2:
             continue
         # the paths the two lost photons come from; the same path twice if it holds three
-        drain = [idxs for (idxs, _), n in zip(_PATHS, excess) for _ in range(n)]
+        drain = [idxs for (idxs, _), n in zip(paths, excess) for _ in range(n)]
         for i in drain[0]:
             for j in drain[1]:
                 if j < i or occ[j] < 1 or occ[i] < 1 + (i == j):
@@ -129,6 +129,8 @@ def _emission_orders(g: float, cfg: NoiseConfig):
 
     The six-photon weight is c3 * q3; at unit efficiency c3 is 0 and rho3 None.
     """
+    from .circuit import PipelineConfig, run_pipeline
+
     tau, eta = cfg.pair_probability, cfg.efficiency
     ideal, p = run_pipeline(PipelineConfig(g))
     weight_double = 3.0 * tau**4 * eta**4 * p
@@ -148,7 +150,12 @@ def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float
     g = check_gamma(gamma)
     if cfg.pair_probability == 0.0:
         return 1.0, 0.0
-    ideal, weight_double, c3, rho3, q3 = _emission_orders(g, cfg)
+    return _fourfolds(_emission_orders(g, cfg))
+
+
+def _fourfolds(orders) -> tuple[float, float]:
+    """Four-fold fidelity and weight from the result of :func:`_emission_orders`."""
+    ideal, weight_double, c3, rho3, q3 = orders
     weight_triple = c3 * q3
     if weight_triple == 0.0:
         return 1.0, weight_double
@@ -170,6 +177,8 @@ def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.n
     ideal = state.density()
     if v == 1.0:
         return ideal
+    from .circuit import source_term_coincidences
+
     terms = source_term_coincidences(g)
     mixture = sum(weight * np.outer(phi, phi.conj()) for weight, phi in terms)
     total = sum(weight for weight, _ in terms)
@@ -191,12 +200,32 @@ def noisy_density_matrix(gamma: float, cfg: NoiseConfig) -> np.ndarray:
     With the default config this is exactly the ideal projector.
     """
     g = check_gamma(gamma)
-    ideal = state_at(g).state
-    rho = visibility_noise(ideal, g, cfg)
-    if cfg.pair_probability > 0.0 and cfg.efficiency < 1.0:
-        _, weight_double, c3, rho3, q3 = _emission_orders(g, cfg)
+    leaks = cfg.pair_probability > 0.0 and cfg.efficiency < 1.0
+    return _noisy_state(g, cfg, _emission_orders(g, cfg) if leaks else None)
+
+
+def _noisy_state(g: float, cfg: NoiseConfig, orders) -> np.ndarray:
+    """The noisy state at a checked angle, mixing in the six-photon branch
+    of ``orders`` (the result of :func:`_emission_orders`, or None)."""
+    rho = visibility_noise(state_at(g).state, g, cfg)
+    if orders is not None:
+        _, weight_double, c3, rho3, q3 = orders
         weight_triple = c3 * q3
         if weight_triple > 0.0:
             total = weight_double + weight_triple
             rho = (weight_double * rho + weight_triple * rho3 / q3) / total
     return depolarize(rho, cfg.depolarizing_q)
+
+
+def noise_report(gamma: float, cfg: NoiseConfig) -> tuple[float, float, np.ndarray]:
+    """(four-fold fidelity, four-fold weight, noisy state) from one emission expansion.
+
+    The same bits as :func:`higher_order_fourfolds` followed by
+    :func:`noisy_density_matrix`, with the pipeline and the six-photon
+    loss branches computed once instead of twice.
+    """
+    g = check_gamma(gamma)
+    if cfg.pair_probability == 0.0:
+        return 1.0, 0.0, _noisy_state(g, cfg, None)
+    orders = _emission_orders(g, cfg)
+    return (*_fourfolds(orders), _noisy_state(g, cfg, orders))

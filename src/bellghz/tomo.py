@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import AXES, WitnessReport, _PAULI_STACK, as_density, evaluate_witness
+from .analysis import WitnessReport, _PAULI_STACK, as_density, evaluate_witness
 from .family import check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
@@ -41,40 +41,41 @@ _BRAS = {
     "z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
 }
 
-# sign of outcome o at slot k, and their products over slot subsets
-_SIGNS = np.array(
-    [[1 - 2 * ((o >> (3 - k)) & 1) for k in range(4)] for o in range(16)]
-)
-_SUBSET_SIGNS = np.array(
-    [
-        [
-            math.prod(_SIGNS[o, k] for k in range(4) if mask & (1 << (3 - k)))
-            for o in range(16)
-        ]
-        for mask in range(16)
-    ],
-    dtype=float,
-)
+# slot k of a setting (base 3), an outcome or a subset mask (base 2) is digit 3 - k;
+# the AXES index of each setting's letters, and the bits of each outcome or mask
+_SLOTS = np.arange(3, -1, -1)
+_SETTING_AXES = 1 + np.arange(len(SETTINGS))[:, None] // 3**_SLOTS % 3
+_BITS = np.arange(16)[:, None] >> _SLOTS & 1
+
+# product over the slots in subset mask of the sign (+1 for +, -1 for -) of outcome o
+_SUBSET_SIGNS = np.where(_BITS[:, None, :], 1 - 2 * _BITS, 1).prod(axis=2).astype(float)
 
 
-def _setting_bra(setting: str) -> np.ndarray:
-    b = _BRAS[setting[0]]
-    for letter in setting[1:]:
-        b = np.kron(b, _BRAS[letter])
-    return b
+def _kron_stack(stacks) -> np.ndarray:
+    """Kronecker products of every choice of one matrix from each stack.
+
+    Each stack is (n, rows, cols); entry i of the result is the product
+    of the matrices at the digits of i in the mixed radix of the stack
+    sizes, first stack most significant, multiplied left to right like
+    repeated ``np.kron``, so every entry has the same bits.
+    """
+    out = stacks[0]
+    for stack in stacks[1:]:
+        (n, r, c), (m, s, t) = out.shape, stack.shape
+        out = (out[:, None, :, None, :, None] * stack[None, :, None, :, None, :]).reshape(
+            n * m, r * s, c * t
+        )
+    return out
 
 
-_SETTING_BRAS = {s: _setting_bra(s) for s in SETTINGS}
+_SETTING_BRAS = dict(zip(SETTINGS, _kron_stack([np.stack([_BRAS[a] for a in "xyz"])] * 4)))
 
-
-# the 256 four-qubit Pauli products, term t = 64 a + 16 b + 4 c + d over AXES
-_SIGMA = np.einsum("aij,bkl,cmn,dop->abcdikmojlnp", *[_PAULI_STACK] * 4).reshape(256, 16, 16)
+# the 256 four-qubit Pauli products, term t = 64 a + 16 b + 4 c + d over AXES;
+# adding 0.0 turns the -0.0 that products of Pauli entries can give into +0.0
+_SIGMA = _kron_stack([_PAULI_STACK] * 4) + 0.0
 # term each (setting, subset mask) measures, setting-major: the setting's axis on
 # the mask's slots and the identity elsewhere; and how often each term is measured
-_TERM_OF = np.array([
-    sum(AXES.index(s[k]) << 2 * (3 - k) for k in range(4) if mask & (1 << (3 - k)))
-    for s in SETTINGS for mask in range(16)
-])
+_TERM_OF = ((_SETTING_AXES[:, None, :] * _BITS) @ 4**_SLOTS).ravel()
 _HITS = np.bincount(_TERM_OF)
 
 

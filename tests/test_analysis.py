@@ -187,6 +187,18 @@ def test_biseparable_bounds_equal_the_per_cut_loop():
         biseparable_bounds([0.1, 1.0])
 
 
+def test_biseparable_bounds_match_the_closed_form():
+    # 1|3 cuts give 1/2; the (0,1) cut max(a^2, (1 - a^2)/2); (0,2) and (0,3) the second term
+    rng = np.random.default_rng(12)
+    gammas = [e.gamma for e in catalog()] + rng.uniform(0, math.pi / 4, 200).tolist()
+    gammas += sweep_grid(1001)
+    for g, c in zip(gammas, biseparable_bounds(gammas)):
+        a = alpha(g)
+        closed = max(a * a, (abs(a) / 2 + math.sqrt((1 - a * a) / 2)) ** 2)
+        assert abs(c - closed) <= 1e-14, g
+        assert c >= 0.5 - 1e-15
+
+
 @pytest.mark.parametrize("steps", [2, 14, 97, 101, 951])
 def test_sweep_rows_equal_the_scalar_route(steps, capsys):
     rows = []

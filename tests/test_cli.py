@@ -4,10 +4,11 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 
-from bellghz import circuit, cli
+from bellghz import circuit, cli, tomo
 
 SUBCOMMANDS = (
     "derive",
@@ -73,6 +74,7 @@ def test_parse_angle():
     assert cli.parse_angle("0.125pi") == pytest.approx(math.pi / 8)
     assert cli.parse_angle("0.2") == pytest.approx(0.2)
     assert cli.parse_angle("0") == 0.0
+    assert math.copysign(1.0, cli.parse_angle("-0")) == 1.0
     assert cli.parse_angle(" 0.25PI ") == pytest.approx(math.pi / 4)
     with pytest.raises(cli.UsageError, match="pi/4"):
         cli.parse_angle("0.3pi")
@@ -325,6 +327,22 @@ def test_tomo_rejects_bad_flags(capsys):
     assert "at least 1" in err
     code, _, _ = run(["tomo", "--gamma", "0", "--method", "mle"], capsys)
     assert code == 2
+    for shots in (["--shots", "100"], []):
+        code, out, err = run(["tomo", "--gamma", "0.1", *shots, "--seed", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert "--seed must be non-negative" in err
+
+
+def test_method_choices_are_the_reconstruction_methods():
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (method,) = [a for a in commands.choices["tomo"]._actions if a.dest == "method"]
+    assert tuple(method.choices) == tomo.RECONSTRUCTION_METHODS
+
+
+def test_negative_zero_angle_prints_as_zero(capsys):
+    code, out, _ = run(["derive", "--gamma", "-0"], capsys)
+    assert code == 0
+    assert out.startswith("gamma       = 0\ngamma_in_pi = 0\n")
 
 
 def test_too_few_shots_is_numeric_failure(capsys):
@@ -333,6 +351,16 @@ def test_too_few_shots_is_numeric_failure(capsys):
     assert code == 3
     assert out == ""
     assert "more shots are needed" in err
+
+
+def printed_gammas(text):
+    """Every printed gamma and gamma_in_pi value, as text: key = value and
+    JSON lines, and the gamma columns of a CSV table."""
+    found = re.findall(r'^\s*"?gamma(?:_in_pi)?"?\s*[=:]\s*([^,\s]+)', text, re.M)
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    columns = [i for i, name in enumerate(header) if name in ("gamma", "gamma_in_pi")]
+    return found + [line.split(",")[i] for line in lines[1:] for i in columns]
 
 
 #: Flags each subcommand accepts, by the names of the strategies below.
@@ -370,7 +398,9 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
         "gamma": gamma.map(lambda g: ["--gamma", g]),
         "steps": st.integers(-3, 300).map(lambda n: ["--steps", str(n)]),
         "shots": st.integers(-1, 200).map(lambda n: ["--shots", str(n)]),
-        "seed": st.integers(-2, 2**40).map(lambda n: ["--seed", str(n)]),
+        "seed": st.one_of(st.integers(-2, 3), st.integers(0, 2**40)).map(
+            lambda n: ["--seed", str(n)]
+        ),
         "method": st.sampled_from(["linear-inversion", "physical-projection", "mle"]).map(
             lambda m: ["--method", m]
         ),
@@ -394,17 +424,34 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
         return [command] + [piece for name in draw(st.permutations(names))
                             for piece in draw(values[name])]
 
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(argvs())
-    def check(argv):
+    def main(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        code, out, err = main(argv)
         assert code in (0, 2, 3, 4)
         if code == 0:
-            assert (out.getvalue() == "") == ("--out" in argv)
+            assert (out == "") == ("--out" in argv)
         else:
-            assert out.getvalue() == "" and err.getvalue() != ""
+            assert out == "" and err != ""
+        # a flag given twice takes its last value
+        last = {flag: i + 1 for i, flag in enumerate(argv[:-1]) if flag.startswith("--")}
+        if code == 0 and "--out" in last:
+            with open(argv[last["--out"]], encoding="utf-8") as fh:
+                out = fh.read()
+        assert not any(g.startswith("-") for g in printed_gammas(out))
+        if argv[0] == "tomo" and "--seed" in last and int(argv[last["--seed"]]) < 0:
+            # a negative seed is the error whenever the same flags with seed 0 run
+            fixed = argv[:last["--seed"]] + ["0"] + argv[last["--seed"] + 1:]
+            if main(fixed)[0] == 0:
+                assert code == 2 and "--seed" in err
+            else:
+                assert code != 0
 
     check()
 

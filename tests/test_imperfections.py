@@ -21,6 +21,7 @@ from bellghz.imperfections import (
     _third_order_branches,
     depolarize,
     higher_order_fourfolds,
+    noise_report,
     noisy_density_matrix,
     visibility_noise,
 )
@@ -181,6 +182,23 @@ def test_noisy_density_matrix_is_physical():
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
         assert fidelity(rho, g) < 1.0
+
+
+def test_noise_report_equals_the_two_separate_calls():
+    rng = np.random.default_rng(6)
+    gammas = [e.gamma for e in catalog()] + [0.098 * math.pi]
+    gammas += rng.uniform(0.0, math.pi / 4, 150 - len(gammas)).tolist()
+    for gamma in gammas:
+        cfg = NoiseConfig(
+            pair_probability=float(rng.choice([0.0, 0.1, rng.uniform(0.0, 0.1)])),
+            efficiency=float(rng.choice([1.0, rng.uniform(0.05, 1.0)])),
+            visibility=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])),
+            depolarizing_q=rng.uniform(0.0, 0.2),
+        )
+        fourfold_fidelity, weight, rho = noise_report(gamma, cfg)
+        separate = (*higher_order_fourfolds(gamma, cfg), noisy_density_matrix(gamma, cfg))
+        raw = [np.asarray(v).tobytes() for v in (fourfold_fidelity, weight, rho)]
+        assert raw == [np.asarray(v).tobytes() for v in separate], (gamma, cfg)
 
 
 def test_noisy_fidelity_dips_in_the_interior():

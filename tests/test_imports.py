@@ -1,0 +1,99 @@
+"""Cold start: each command loads only the modules it runs, and the package
+re-exports its public names lazily."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bellghz
+
+SRC = os.path.dirname(os.path.dirname(bellghz.__file__))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+#: Runs ``cli.main`` on the given argv and prints the loaded module names.
+CLI_MODULES = """\
+import contextlib, io, json, sys
+from bellghz import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def fresh_python(code, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=ENV, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def loaded_by(argv, exit_code=0):
+    code, modules = fresh_python(CLI_MODULES, *argv)
+    assert code == exit_code
+    return set(modules)
+
+
+def test_cli_import_does_not_load_numpy():
+    modules = fresh_python("import json, sys, bellghz.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("bellghz")} == {"bellghz", "bellghz.cli"}
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["frobnicate"], 2),
+    (["tomo", "--gamma", "0", "--method", "mle"], 2),
+])
+def test_version_help_and_flag_errors_do_not_load_numpy(argv, exit_code):
+    assert "numpy" not in loaded_by(argv, exit_code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--gamma", "0.125pi"],
+    ["sweep", "--steps", "5"],
+    ["catalog"],
+    ["crossings"],
+    ["correlations", "--gamma", "0.05pi"],
+])
+def test_closed_form_commands_do_not_load_noise_or_tomography(argv):
+    assert not loaded_by(argv) & {"bellghz.tomo", "bellghz.imperfections"}
+
+
+def test_noise_does_not_load_tomography():
+    argv = ["noise", "--gamma", "0.098pi",
+            "--noise-json", '{"pair_probability": 0.05, "efficiency": 0.2}']
+    modules = loaded_by(argv)
+    assert "bellghz.tomo" not in modules
+    assert "bellghz.circuit" in modules  # the six-photon branch propagates photons
+
+
+@pytest.mark.parametrize("argv", [
+    ["tomo", "--gamma", "0", "--shots", "1000"],
+    ["witness", "--gamma", "0.125pi"],
+])
+def test_noiseless_state_commands_do_not_load_the_optics(argv):
+    assert not loaded_by(argv) & {"bellghz.circuit", "bellghz.fock"}
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    code = """\
+import json, bellghz
+listed = dir(bellghz)
+star = {}
+exec("from bellghz import *", star)
+star.pop("__builtins__")
+missing = [n for n in bellghz.__all__ if getattr(bellghz, n, None) is None]
+print(json.dumps([bellghz.__all__, listed, sorted(star), missing]))
+"""
+    names, listed, star, missing = fresh_python(code)
+    assert missing == []
+    assert "noise_report" not in names
+    assert set(names) <= set(listed)
+    assert star == sorted(names)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        bellghz.nope  # noqa: B018

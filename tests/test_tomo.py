@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bellghz.analysis import biseparable_bound, fidelity, pairwise_witness
+from bellghz import tomo
+from bellghz.analysis import AXES, PAULI, biseparable_bound, fidelity, pairwise_witness
 from bellghz.family import state_at
 from bellghz.imperfections import NoiseConfig
 from bellghz.tomo import (
@@ -33,6 +34,37 @@ def test_setting_enumeration():
     assert list(SETTINGS) == sorted(SETTINGS)
     assert OUTCOMES[0] == "++++"
     assert OUTCOMES[-1] == "----"
+
+
+def test_setting_and_pauli_tables_equal_the_kron_and_einsum_constructions():
+    def setting_bra(setting):
+        b = tomo._BRAS[setting[0]]
+        for letter in setting[1:]:
+            b = np.kron(b, tomo._BRAS[letter])
+        return b
+
+    assert list(tomo._SETTING_BRAS) == list(SETTINGS)
+    for s in SETTINGS:
+        bra = setting_bra(s)
+        assert (tomo._SETTING_BRAS[s].dtype, tomo._SETTING_BRAS[s].shape) == (bra.dtype, bra.shape)
+        assert tomo._SETTING_BRAS[s].tobytes() == bra.tobytes()
+    stack = np.stack([PAULI[a] for a in AXES])
+    sigma = np.einsum("aij,bkl,cmn,dop->abcdikmojlnp", stack, stack, stack, stack)
+    sigma = sigma.reshape(256, 16, 16)
+    assert (tomo._SIGMA.dtype, tomo._SIGMA.shape) == (sigma.dtype, sigma.shape)
+    assert tomo._SIGMA.tobytes() == sigma.tobytes()
+    term_of = np.array([
+        sum(AXES.index(s[k]) << 2 * (3 - k) for k in range(4) if mask & (1 << (3 - k)))
+        for s in SETTINGS for mask in range(16)
+    ])
+    assert (tomo._TERM_OF.dtype, tomo._TERM_OF.shape) == (term_of.dtype, term_of.shape)
+    assert tomo._TERM_OF.tobytes() == term_of.tobytes()
+    signs = np.array([[1 - 2 * ((o >> (3 - k)) & 1) for k in range(4)] for o in range(16)])
+    subset_signs = np.array([
+        [math.prod(signs[o, k] for k in range(4) if mask & (1 << (3 - k))) for o in range(16)]
+        for mask in range(16)
+    ], dtype=float)
+    assert tomo._SUBSET_SIGNS.tobytes() == subset_signs.tobytes()
 
 
 def test_ghz_zbasis_probabilities():
