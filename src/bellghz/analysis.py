@@ -30,6 +30,18 @@ PAULI = {
 }
 _PAULI_STACK = np.stack([PAULI[a] for a in AXES])
 
+#: All 81 measurement settings in lexicographic order.
+SETTINGS = tuple("".join(s) for s in itertools.product(SETTING_AXES, repeat=4))
+# correlation-term labels in index order, term t = 64 a + 16 b + 4 c + d over AXES
+_TERMS = tuple("".join(t) for t in itertools.product(AXES, repeat=4))
+_TERM_INDEX = {t: i for i, t in enumerate(_TERMS)}
+
+# 1 where a setting letter (row: x, y, z) yields a term axis (column: 0, x, y, z)
+_LETTER_YIELDS = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+# 1 where setting s yields term t, every slot yielding; the first slot is the
+# most significant digit of both indices, as in np.kron
+_YIELDS = np.kron(np.kron(_LETTER_YIELDS, _LETTER_YIELDS), np.kron(_LETTER_YIELDS, _LETTER_YIELDS))
+
 DM_TOL = 1e-9
 #: 3-tangle magnitudes below this count as zero (W class).
 THREE_TANGLE_ZERO = 1e-6
@@ -84,11 +96,11 @@ class CorrelationTensor:
 
     def nonzero_terms(self, tol: float = 1e-10) -> tuple[str, ...]:
         """Labels of entries with |T| > tol, in lexicographic index order."""
-        return tuple(
-            "".join(AXES[i] for i in idx)
-            for idx in itertools.product(range(4), repeat=4)
-            if abs(self.values[idx]) > tol
-        )
+        return tuple(_TERMS[t] for t in np.flatnonzero(self._nonzero(tol)))
+
+    def _nonzero(self, tol: float = 1e-10) -> np.ndarray:
+        """Mask of the entries with |T| > tol, by term index."""
+        return np.abs(self.values.ravel()) > tol
 
 
 def correlations(state) -> CorrelationTensor:
@@ -266,10 +278,6 @@ class SettingCover:
 MAX_COVER_SETTINGS = 21
 
 
-def _setting_yields(setting: str, term: str) -> bool:
-    return all(t in ("0", s) for t, s in zip(term, setting))
-
-
 def setting_cover(gamma: float) -> SettingCover:
     """Greedy cover of the non-zero correlation terms by local settings.
 
@@ -278,40 +286,55 @@ def setting_cover(gamma: float) -> SettingCover:
     settings would be needed; the family never requires that many.
     """
     g = check_gamma(gamma)
-    terms = correlations(state_at(g).state).nonzero_terms()
-    candidates = ["".join(s) for s in itertools.product(SETTING_AXES, repeat=4)]
-    yields = {s: frozenset(t for t in terms if _setting_yields(s, t)) for s in candidates}
-
-    uncovered = set(terms)
-    chosen: list[str] = []
-    while uncovered:
-        # max keeps the first maximum; candidates are lexicographic
-        best = max(candidates, key=lambda s: len(yields[s] & uncovered))
+    nonzero = correlations(state_at(g).state)._nonzero()
+    uncovered = nonzero.astype(int)
+    chosen: list[int] = []
+    while uncovered.any():
+        # an integer score (a bool matmul is a logical OR); argmax keeps the
+        # first maximum, and SETTINGS is lexicographic
+        best = int(np.argmax(_YIELDS @ uncovered))
         chosen.append(best)
-        uncovered -= yields[best]
+        uncovered *= 1 - _YIELDS[best]
         if len(chosen) > MAX_COVER_SETTINGS:
             raise RuntimeError(
                 f"cover needs more than {MAX_COVER_SETTINGS} settings at gamma={g!r}"
             )
     return SettingCover(
-        settings=tuple(chosen),
-        covered_terms={s: tuple(sorted(yields[s])) for s in chosen},
+        settings=tuple(SETTINGS[s] for s in chosen),
+        covered_terms={
+            SETTINGS[s]: tuple(_TERMS[t] for t in np.flatnonzero(_YIELDS[s] * nonzero))
+            for s in chosen
+        },
     )
 
 
 def fidelity_from_cover(rho, gamma: float, cover: SettingCover | None = None) -> float:
     """Fidelity to the family state assembled only from covered terms.
 
-    Exact for any rho: the target's projector expands over precisely the
-    non-zero terms, all of which the cover yields.
+    Exact for any rho when the cover was made for the same gamma: the
+    target's projector expands over precisely its non-zero terms, all of
+    which that cover yields.  Raises ValueError when the cover misses a
+    non-zero term of the target, as a cover made for another gamma can.
     """
     g = check_gamma(gamma)
     if cover is None:
         cover = setting_cover(g)
     target = correlations(state_at(g).state)
     measured = correlations(rho)
-    terms = set().union(*cover.covered_terms.values())
-    return sum(target[t] * measured[t] for t in sorted(terms)) / 16.0
+    covered = np.zeros(len(_TERMS), dtype=bool)
+    try:
+        covered[[_TERM_INDEX[t] for terms in cover.covered_terms.values() for t in terms]] = True
+    except KeyError as exc:
+        raise ValueError(f"cover lists an unknown term {exc.args[0]!r}") from None
+    missing = np.flatnonzero(target._nonzero() & ~covered)
+    if missing.size:
+        raise ValueError(
+            f"cover does not yield the non-zero term {_TERMS[missing[0]]!r} of the "
+            f"family state at gamma={g!r}; make the cover at the same gamma"
+        )
+    terms = np.flatnonzero(covered)
+    # a sequential Python sum in term order: numpy's pairwise sum would round differently
+    return sum((target.values.ravel()[terms] * measured.values.ravel()[terms]).tolist()) / 16.0
 
 
 def haar_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -331,6 +354,8 @@ def lu_invariance_check(gamma: float, trials: int = 100, seed: int = 7) -> float
     the twisted group (ZUZ) x (ZUZ) x U x U.
     """
     g = check_gamma(gamma)
+    if not trials >= 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     vec = state_at(g).state.vec
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -348,6 +373,8 @@ def three_tangle(vec) -> float:
     it vanishes on product and W-class states and reaches 1/4 on GHZ.
     """
     a = np.asarray(vec, dtype=complex).reshape(8)
+    if not np.isfinite(a).all():
+        raise ValueError("amplitudes must be finite")
     norm = np.linalg.norm(a)
     if norm < 1e-12:
         raise ValueError("cannot compute the tangle of a null vector")

@@ -17,8 +17,7 @@ and no command loads a module it does not use.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import os
@@ -96,12 +95,20 @@ def _kv_text(pairs) -> str:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    """Header and rows as CSV lines, one format call per row.
+
+    No cell of any table contains a comma, quote or newline, so no cell is
+    quoted.  A row of floats alone takes one ``%`` format, whose ``%.12g``
+    gives the same digits as :func:`_fmt`.
+    """
+    floats = ",".join(["%.12g"] * len(header)) + "\n"
+    lines = [",".join(header) + "\n"]
     for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    return buf.getvalue()
+        if len(row) == len(header) and set(map(type, row)) == {float}:
+            lines.append(floats % tuple(row))
+        else:
+            lines.append(",".join(map(_fmt, row)) + "\n")
+    return "".join(lines)
 
 
 def _basis_label(index: int) -> str:
@@ -515,10 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to :func:`main` and reused by later calls."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

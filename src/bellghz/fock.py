@@ -265,12 +265,19 @@ def postselect(
     unknown = set(pattern) - set(groups)
     if unknown:
         raise ValueError(f"pattern names spatial paths not in register: {sorted(unknown)}")
+    # each path as an index pair (i, j) with occ[i] + occ[j] its photon total:
+    # its H and V modes, or a lone mode twice against twice the wanted count
+    pairs = []
+    for sp, idxs in groups.items():
+        want = pattern.get(sp, 0)
+        if len(idxs) > 2:
+            raise ValueError(f"spatial path {sp!r} has {len(idxs)} modes; at most H and V")
+        pairs.append((idxs[0], idxs[-1], want if len(idxs) == 2 else 2 * want))
     kept: dict[tuple[int, ...], complex] = {}
     prob = 0.0
     for occ, amp in state.amps.items():
-        for sp, idxs in groups.items():
-            total = sum(occ[i] for i in idxs)
-            if total != pattern.get(sp, 0):
+        for i, j, want in pairs:
+            if occ[i] + occ[j] != want:
                 break
         else:
             kept[occ] = amp

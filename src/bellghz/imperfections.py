@@ -90,15 +90,19 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     )
     from .fock import FockState, apply_transform, postselect
 
-    # register positions of each spatial path and the photons a coincidence leaves there
+    # the H and V register positions of each spatial path and the photons a
+    # coincidence leaves there
     paths = [
-        ([i for i, m in enumerate(REGISTER) if m.spatial == sp], COINCIDENCE_PATTERN.get(sp, 0))
+        (
+            tuple(i for i, m in enumerate(REGISTER) if m.spatial == sp),
+            COINCIDENCE_PATTERN.get(sp, 0),
+        )
         for sp in SPATIALS
     ]
     out = apply_transform(spdc_term(3), pipeline_transform(gamma))
     branches: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
     for occ, amp in out.amps.items():
-        excess = [sum(occ[i] for i in idxs) - want for idxs, want in paths]
+        excess = [occ[h] + occ[v] - want for (h, v), want in paths]
         if min(excess) < 0 or sum(excess) != 2:
             continue
         # the paths the two lost photons come from; the same path twice if it holds three

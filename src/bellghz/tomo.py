@@ -12,7 +12,6 @@ and slot k of a setting or outcome string is qubit k+1.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,18 +20,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import WitnessReport, _PAULI_STACK, as_density, evaluate_witness
+from .analysis import SETTINGS, WitnessReport, _PAULI_STACK, as_density, evaluate_witness
 from .family import check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
-#: All 81 measurement settings in lexicographic order.
-SETTINGS = tuple("".join(s) for s in itertools.product("xyz", repeat=4))
 _SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
 
 #: Outcome strings in index order, "++++" through "----".
 OUTCOMES = tuple(
     "".join("+-"[(o >> (3 - k)) & 1] for k in range(4)) for o in range(16)
 )
+_OUTCOME_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
 
 # Bras of the +/- eigenvectors per measurement letter, row 0 = +.
 _BRAS = {
@@ -144,19 +142,31 @@ class DensityMatrix:
 def setting_probabilities(state, setting: str) -> np.ndarray:
     """Born-rule outcome probabilities of one setting, in outcome order."""
     rho = as_density(state)
-    bra = _SETTING_BRAS[setting]
+    try:
+        bra = _SETTING_BRAS[setting]
+    except KeyError:
+        raise ValueError(f"unknown setting {setting!r}") from None
     probs = np.einsum("ij,jk,ik->i", bra, rho, bra.conj()).real
     return np.clip(probs, 0.0, None)
+
+
+#: Largest Poisson mean per setting; numpy's sampler refuses means above about 9.2e18.
+MAX_SHOTS_PER_SETTING = 1e18
 
 
 def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRecord]:
     """Poisson counts for the whole campaign, one RNG stream per setting.
 
     The stream for setting i is seeded with (seed, i), so any subset of
-    settings can be regenerated independently and in any order.
+    settings can be regenerated independently and in any order.  Raises
+    ValueError unless 1 <= shots_per_setting <= MAX_SHOTS_PER_SETTING,
+    which also rejects NaN and infinity.
     """
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be at least 1")
+    if not 1 <= shots_per_setting <= MAX_SHOTS_PER_SETTING:
+        raise ValueError(
+            f"shots_per_setting must be finite, at least 1 and at most "
+            f"{MAX_SHOTS_PER_SETTING:g}, got {shots_per_setting!r}"
+        )
     rho = as_density(state)
     records = []
     for i, setting in enumerate(SETTINGS):
@@ -268,19 +278,18 @@ def reconstruct_and_report(
 def write_counts(records: Sequence[CountRecord], path) -> None:
     """CSV dump with header setting,outcome,count; one row per outcome."""
     with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["setting", "outcome", "count"])
+        lines = ["setting,outcome,count\n"]
         for rec in records:
             for outcome, count in zip(OUTCOMES, rec.counts):
                 as_int = int(count)
-                writer.writerow(
-                    [rec.setting, outcome, as_int if as_int == count else f"{count:.12g}"]
-                )
+                text = as_int if as_int == count else f"{count:.12g}"
+                lines.append(f"{rec.setting},{outcome},{text}\n")
+        fh.write("".join(lines))
 
 
 def read_counts(path) -> list[CountRecord]:
     """Read a counts CSV back into records, tolerating missing zero rows."""
-    table: dict[str, np.ndarray] = {}
+    table: dict[str, list[float]] = {}
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -294,15 +303,15 @@ def read_counts(path) -> list[CountRecord]:
             setting, outcome, count = row
             if setting not in _SETTING_INDEX:
                 raise ValueError(f"unknown setting {setting!r}")
-            if outcome not in OUTCOMES:
+            if outcome not in _OUTCOME_INDEX:
                 raise ValueError(f"unknown outcome {outcome!r}")
-            table.setdefault(setting, np.zeros(16))
-            table[setting][OUTCOMES.index(outcome)] += float(count)
+            table.setdefault(setting, [0.0] * 16)[_OUTCOME_INDEX[outcome]] += float(count)
+    present = [s for s in SETTINGS if s in table]
+    # numpy's pairwise sum per setting; a sequential Python sum would round differently
+    totals = np.array([table[s] for s in present]).reshape(-1, 16).sum(axis=1).tolist()
     records = []
-    for setting in SETTINGS:
-        if setting in table:
-            counts = table[setting]
-            if counts.sum() <= 0:
-                raise ValueError(f"setting {setting!r} has all-zero counts")
-            records.append(CountRecord(setting, tuple(counts), float(counts.sum())))
+    for setting, total in zip(present, totals):
+        if total <= 0:
+            raise ValueError(f"setting {setting!r} has all-zero counts")
+        records.append(CountRecord(setting, tuple(table[setting]), total))
     return records

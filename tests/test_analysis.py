@@ -288,6 +288,55 @@ def test_fidelity_from_cover_matches_direct():
         assert fidelity_from_cover(probe, gamma) == pytest.approx(direct, abs=1e-10)
 
 
+def setting_cover_by_labels(gamma):
+    """The label-set greedy cover that ``setting_cover`` replaced, kept as its oracle."""
+    terms = correlations(state_at(gamma).state).nonzero_terms()
+    candidates = ["".join(s) for s in itertools.product("xyz", repeat=4)]
+    yields = {
+        s: frozenset(t for t in terms if all(a in ("0", b) for a, b in zip(t, s)))
+        for s in candidates
+    }
+    uncovered = set(terms)
+    chosen = []
+    while uncovered:
+        best = max(candidates, key=lambda s: len(yields[s] & uncovered))
+        chosen.append(best)
+        uncovered -= yields[best]
+    return SettingCover(tuple(chosen), {s: tuple(sorted(yields[s])) for s in chosen})
+
+
+def fidelity_from_cover_by_labels(rho, gamma, cover):
+    """The label-lookup sum that ``fidelity_from_cover`` replaced, kept as its oracle."""
+    target = correlations(state_at(gamma).state)
+    measured = correlations(rho)
+    terms = set().union(*cover.covered_terms.values())
+    return sum(target[t] * measured[t] for t in sorted(terms)) / 16.0
+
+
+def test_setting_cover_and_its_fidelity_equal_the_label_oracles():
+    rng = np.random.default_rng(21)
+    gammas = [e.gamma for e in catalog()] + rng.uniform(0, math.pi / 4, 300).tolist()
+    for g in gammas:
+        cover = setting_cover(g)
+        assert cover == setting_cover_by_labels(g), g
+        psi = random_state(rng)
+        probe = 0.8 * state_at(g).state.density() + 0.2 * np.outer(psi, psi.conj())
+        want = fidelity_from_cover_by_labels(probe, g, cover).hex()
+        assert fidelity_from_cover(probe, g, cover).hex() == want, g
+        assert fidelity_from_cover(probe, g).hex() == want, g
+
+
+def test_fidelity_from_cover_rejects_a_cover_of_another_angle():
+    # the product point's cover misses terms that are non-zero at 0.3
+    with pytest.raises(ValueError, match="same gamma"):
+        fidelity_from_cover(state_at(0.3).state, 0.3, setting_cover(0.0))
+    with pytest.raises(ValueError, match="same gamma"):
+        fidelity_from_cover(MIXED, 0.1, SettingCover((), {}))
+    bogus = SettingCover(("zzzz",), {"zzzz": ("0000", "zzzq")})
+    with pytest.raises(ValueError, match="unknown term 'zzzq'"):
+        fidelity_from_cover(MIXED, 0.1, bogus)
+
+
 def test_lu_invariance_of_psi4_minus():
     assert lu_invariance_check(math.pi / 4, trials=100, seed=7) <= 1e-9
 
@@ -317,6 +366,22 @@ def test_three_tangle_oracles():
     assert three_tangle(product) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         three_tangle(np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_three_tangle_rejects_non_finite_amplitudes(bad):
+    vec = [0.5] * 8
+    vec[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        three_tangle(vec)
+    with pytest.raises(ValueError, match="finite"):
+        three_tangle([bad] * 8)
+
+
+@pytest.mark.parametrize("trials", [-1, 0, 0.5, math.nan])
+def test_lu_invariance_check_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        lu_invariance_check(math.pi / 4, trials=trials)
 
 
 def test_three_tangle_range_on_random_states():

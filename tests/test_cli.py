@@ -1,11 +1,13 @@
 """Flag parsing, output formats, exit codes, and determinism of the CLI."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from bellghz import circuit, cli, tomo
@@ -333,6 +335,12 @@ def test_tomo_rejects_bad_flags(capsys):
         assert "--seed must be non-negative" in err
 
 
+def test_tomo_maps_unsampleable_shots_to_usage_error(capsys):
+    code, out, err = run(["tomo", "--gamma", "0.1", "--shots", str(10**30)], capsys)
+    assert (code, out) == (2, "")
+    assert "shots_per_setting" in err
+
+
 def test_method_choices_are_the_reconstruction_methods():
     (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
     (method,) = [a for a in commands.choices["tomo"]._actions if a.dest == "method"]
@@ -492,3 +500,109 @@ def test_out_flag_and_outdir(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert (tmp_path / "relative.csv").read_bytes() == direct.read_bytes()
     assert b"\r" not in direct.read_bytes()
+
+
+def csv_writer_text(header, rows):
+    """The csv.writer table that ``cli._csv_text`` replaced, kept as its oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._fmt(cell) for cell in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["sweep", "--steps", str(n)] for n in (2, 3, 14, 100, 101, 901, 951, 1001, 2000)),
+    ["catalog"],
+    ["crossings"],
+    ["crossings", "--all"],
+    ["correlations", "--gamma", "0.05pi"],
+    ["correlations", "--gamma", "0"],
+])
+def test_tables_equal_the_csv_writer(argv, monkeypatch, capsys):
+    tables = []
+    real = cli._csv_text
+
+    def recording(header, rows):
+        rows = list(rows)
+        tables.append((header, rows))
+        return real(header, rows)
+
+    monkeypatch.setattr(cli, "_csv_text", recording)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    ((header, rows),) = tables
+    assert out == csv_writer_text(header, rows)
+
+
+def test_csv_text_formats_every_cell_type_like_the_csv_writer():
+    header = ["a", "b", "c"]
+    rows = [
+        (0.0, -0.0, 1e-300),
+        (math.inf, -math.inf, math.nan),
+        [1.0 / 3.0, 2.0, 123456789012.5],
+        (True, False, 7),
+        ("S^c−", "Ψ4+", 0.25),
+        (np.float64(0.1), 0.2, 0.3),
+        (0.5, 0.25),
+        (),
+    ]
+    assert cli._csv_text(header, rows) == csv_writer_text(header, rows)
+
+
+#: Every subcommand, --json, --out, usage errors and a --seed error, run in
+#: this order; repeats after a variant catch state one call leaves behind.
+REUSE_ARGVS = (
+    ["derive", "--gamma", "0.125pi", "--json"],
+    ["derive", "--gamma", "0.125pi"],
+    ["sweep", "--steps", "9", "--out", "OUT"],
+    ["sweep", "--steps", "5"],
+    ["catalog", "--json"],
+    ["catalog"],
+    ["crossings", "--all", "--json"],
+    ["crossings"],
+    ["correlations", "--gamma", "0.05pi", "--json", "--out", "OUT"],
+    ["correlations", "--gamma", "0.05pi"],
+    ["witness", "--gamma", "0.3pi"],
+    ["witness", "--gamma", "0.125pi", "--noise-json", '{"depolarizing_q": 0.1}'],
+    ["witness", "--gamma", "0.125pi"],
+    ["tomo", "--gamma", "0.1", "--shots", "100", "--seed", "-1"],
+    ["tomo", "--gamma", "0.1", "--shots", "1000", "--method", "linear-inversion"],
+    ["tomo", "--gamma", "0.1"],
+    ["noise", "--gamma", "0.098pi", "--noise-json", '{"pair_probability": 0.05}', "--json"],
+    ["noise", "--gamma", "0.098pi"],
+    ["sweep", "--steps", "1"],
+    ["derive", "--gamma", "0.1", "--json", "--table"],
+    ["frobnicate"],
+    ["tomo", "--gamma", "0", "--method", "mle"],
+    ["sweep", "--help"],
+    ["--version"],
+    ["derive", "--gamma", "0.125pi"],
+)
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out_path = tmp_path / "out.txt"
+
+    def answers(fresh):
+        cli._parser.cache_clear()
+        results = []
+        for argv in REUSE_ARGVS:
+            if fresh:
+                cli._parser.cache_clear()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main([str(out_path) if a == "OUT" else a for a in argv])
+            written = out_path.read_bytes() if out_path.exists() else None
+            out_path.unlink(missing_ok=True)
+            results.append((argv, code, stdout.getvalue(), stderr.getvalue(), written))
+        return results
+
+    reused = answers(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    fresh = answers(fresh=True)
+    assert reused == fresh
+    codes = [code for _, code, _, _, _ in fresh]
+    assert codes.count(2) == 6 and codes.count(0) == len(REUSE_ARGVS) - 6

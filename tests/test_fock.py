@@ -1,5 +1,6 @@
 """Core Fock-algebra checks: exact small cases plus randomized invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -217,6 +218,49 @@ def test_postselect_probabilities_sum_to_one():
         _, p = postselect(st, {"a": na, "b": 4 - na})
         total += p
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def postselect_by_sums(state, pattern):
+    """The generator-sum filter that ``postselect`` replaced, kept as its oracle."""
+    groups = {}
+    for i, m in enumerate(state.register):
+        groups.setdefault(m.spatial, []).append(i)
+    kept = {}
+    prob = 0.0
+    for occ, amp in state.amps.items():
+        if all(sum(occ[i] for i in idxs) == pattern.get(sp, 0) for sp, idxs in groups.items()):
+            kept[occ] = amp
+            prob += abs(amp) ** 2
+    if not kept or prob == 0.0:
+        return FockState(state.register, {}), 0.0
+    s = 1.0 / math.sqrt(prob)
+    return FockState(state.register, {o: a * s for o, a in kept.items()}), prob
+
+
+@pytest.mark.parametrize("reg", [
+    (AH, AV, BH, BV),
+    (AH, BH, BV),  # path a has its H mode only
+    (BV, AH, mode("cH"), AV, mode("cV"), BH),
+])
+def test_postselect_equals_the_generator_sum_oracle(reg):
+    rng = np.random.default_rng(len(reg))
+    st = apply_transform(
+        FockState(reg, {(1,) * len(reg): 1.0}),
+        ModeTransform(reg, haar_unitary(len(reg), rng)),
+    )
+    spatials = sorted({m.spatial for m in reg})
+    for counts in itertools.product(range(3), repeat=len(spatials)):
+        pattern = dict(zip(spatials, counts))
+        kept, prob = postselect(st, pattern)
+        want, want_prob = postselect_by_sums(st, pattern)
+        assert prob.hex() == want_prob.hex()
+        assert kept.amps == want.amps
+
+
+def test_postselect_rejects_a_path_with_more_than_two_modes():
+    st = FockState.vacuum((AH, AV, AH))
+    with pytest.raises(ValueError, match="3 modes"):
+        postselect(st, {"a": 0})
 
 
 def test_overlap_basics():

@@ -1,15 +1,21 @@
 """Noise-model behavior: emission orders, loss, visibility, white noise."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from test_fock import postselect_by_sums
 
+from bellghz import circuit, imperfections
 from bellghz.analysis import fidelity
 from bellghz.circuit import (
     COINCIDENCE_PATTERN,
     REGISTER,
+    SPATIALS,
+    PipelineConfig,
     pipeline_transform,
+    run_pipeline,
     spdc_term,
     to_qubits,
 )
@@ -253,3 +259,62 @@ def test_third_order_branches_equal_the_exhaustive_search(gamma):
     want_rho, want_total = _brute_force_branches(gamma)
     assert total == want_total
     np.testing.assert_array_equal(rho, want_rho)
+
+
+def third_order_branches_by_sums(gamma):
+    """The generator-sum filter that ``_third_order_branches`` replaced, kept as its oracle."""
+    paths = [
+        ([i for i, m in enumerate(REGISTER) if m.spatial == sp], COINCIDENCE_PATTERN.get(sp, 0))
+        for sp in SPATIALS
+    ]
+    out = apply_transform(spdc_term(3), pipeline_transform(gamma))
+    branches = {}
+    for occ, amp in out.amps.items():
+        excess = [sum(occ[i] for i in idxs) - want for idxs, want in paths]
+        if min(excess) < 0 or sum(excess) != 2:
+            continue
+        drain = [idxs for (idxs, _), n in zip(paths, excess) for _ in range(n)]
+        for i in drain[0]:
+            for j in drain[1]:
+                if j < i or occ[j] < 1 or occ[i] < 1 + (i == j):
+                    continue
+                factor = math.sqrt(occ[i] * (occ[i] - 1) / 2.0 if i == j else occ[i] * occ[j])
+                lost = list(occ)
+                lost[i] -= 1
+                lost[j] -= 1
+                branches.setdefault((i, j), {})[tuple(lost)] = amp * factor
+    rho = np.zeros((16, 16), dtype=complex)
+    total = 0.0
+    for pair in sorted(branches):
+        kept, weight = postselect_by_sums(FockState(REGISTER, branches[pair]), COINCIDENCE_PATTERN)
+        if weight == 0.0:
+            continue
+        phi = to_qubits(kept).vec
+        rho += weight * np.outer(phi, phi.conj())
+        total += weight
+    return rho, total
+
+
+def noise_bytes(configs):
+    out = []
+    for gamma, cfg in configs:
+        fourfold = higher_order_fourfolds(gamma, cfg)
+        rho = noisy_density_matrix(gamma, cfg)
+        ideal = run_pipeline(PipelineConfig(gamma))
+        out.append([np.asarray(v).tobytes()
+                    for v in (*fourfold, rho, ideal.state.vec, ideal.probability)])
+    return out
+
+
+def test_noise_outputs_equal_the_generator_sum_oracles(monkeypatch):
+    rng = random.Random(77)
+    configs = [
+        (rng.uniform(0.0, math.pi / 4), NoiseConfig(
+            pair_probability=rng.uniform(0.01, 0.1), efficiency=rng.uniform(0.05, 0.95),
+            visibility=rng.uniform(0.8, 1.0), depolarizing_q=rng.uniform(0.0, 0.1)))
+        for _ in range(60)
+    ]
+    indexed = noise_bytes(configs)
+    monkeypatch.setattr(imperfections, "_third_order_branches", third_order_branches_by_sums)
+    monkeypatch.setattr(circuit, "postselect", postselect_by_sums)
+    assert noise_bytes(configs) == indexed

@@ -43,6 +43,11 @@ def test_cli_import_does_not_load_numpy():
     assert {m for m in modules if m.startswith("bellghz")} == {"bellghz", "bellghz.cli"}
 
 
+def test_cli_import_builds_no_parser():
+    code = "import json, bellghz.cli as c; print(json.dumps(c._parser.cache_info().currsize))"
+    assert fresh_python(code) == 0
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (["--version"], 0),
     (["--help"], 0),

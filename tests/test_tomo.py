@@ -1,7 +1,9 @@
 """Count simulation, reconstruction, and I/O for the tomography loop."""
 
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from bellghz import tomo
 from bellghz.analysis import AXES, PAULI, biseparable_bound, fidelity, pairwise_witness
 from bellghz.family import state_at
-from bellghz.imperfections import NoiseConfig
+from bellghz.imperfections import NoiseConfig, noisy_density_matrix
 from bellghz.tomo import (
     CountRecord,
     DensityMatrix,
@@ -114,6 +116,25 @@ def test_simulate_counts_deterministic():
     assert a != c
     with pytest.raises(ValueError, match="at least 1"):
         simulate_counts(state, 0.5, seed=1)
+
+
+@pytest.mark.parametrize("shots", [math.nan, math.inf, 1e300, 10**30])
+def test_simulate_counts_rejects_shots_numpy_cannot_sample(shots):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="shots_per_setting"):
+            simulate_counts(state_at(0.1).state, shots, seed=1)
+
+
+def test_simulate_counts_accepts_the_largest_shots():
+    records = simulate_counts(state_at(0.0).state, tomo.MAX_SHOTS_PER_SETTING, seed=1)
+    assert all(r.shots == 1e18 for r in records)
+
+
+@pytest.mark.parametrize("setting", ["xxxq", "XXXX", "xxx", ""])
+def test_setting_probabilities_rejects_unknown_settings(setting):
+    with pytest.raises(ValueError, match="unknown setting"):
+        setting_probabilities(state_at(0.1).state, setting)
 
 
 def test_simulated_frequencies_track_probabilities():
@@ -241,6 +262,97 @@ def test_read_counts_rejects_malformed(tmp_path):
     bad.write_text("setting,outcome,count\nzzzz,++++,3\nzzzz,+++-,nan\n")
     with pytest.raises(ValueError, match="finite"):
         read_counts(bad)
+
+
+def write_counts_by_csv_writer(records, path):
+    """The csv.writer dump that ``write_counts`` replaced, kept as its oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["setting", "outcome", "count"])
+        for rec in records:
+            for outcome, count in zip(OUTCOMES, rec.counts):
+                as_int = int(count)
+                writer.writerow(
+                    [rec.setting, outcome, as_int if as_int == count else f"{count:.12g}"]
+                )
+
+
+def read_counts_by_arrays(path):
+    """The per-setting numpy accumulation that ``read_counts`` replaced, kept as its oracle."""
+    table = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["setting", "outcome", "count"]:
+            raise ValueError("expected header setting,outcome,count")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"malformed row: {row!r}")
+            setting, outcome, count = row
+            if setting not in SETTINGS:
+                raise ValueError(f"unknown setting {setting!r}")
+            if outcome not in OUTCOMES:
+                raise ValueError(f"unknown outcome {outcome!r}")
+            table.setdefault(setting, np.zeros(16))
+            table[setting][OUTCOMES.index(outcome)] += float(count)
+    records = []
+    for setting in SETTINGS:
+        if setting in table:
+            counts = table[setting]
+            if counts.sum() <= 0:
+                raise ValueError(f"setting {setting!r} has all-zero counts")
+            records.append(CountRecord(setting, tuple(counts), float(counts.sum())))
+    return records
+
+
+def record_bits(records):
+    return [(r.setting, [float(c).hex() for c in r.counts], float(r.shots).hex())
+            for r in records]
+
+
+def counts_campaigns():
+    rng = np.random.default_rng(8)
+    for k in range(6):
+        g, q = rng.uniform(0, math.pi / 4), rng.uniform(0, 0.1)
+        rho = noisy_density_matrix(g, NoiseConfig(depolarizing_q=q))
+        yield simulate_counts(rho, 100_000, seed=k)
+        yield exact_frequency_records(rho, shots=[1.0, 1000.0, 12345.6789][k % 3])
+
+
+def test_counts_csv_equals_the_csv_writer_and_array_oracles(tmp_path):
+    for records in counts_campaigns():
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_counts(records, new)
+        write_counts_by_csv_writer(records, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert record_bits(read_counts(new)) == record_bits(read_counts_by_arrays(new))
+
+
+@pytest.mark.parametrize("body", [
+    "zzzz,++++,3\n\nzzzz,++++,0.1\nxyzx,-+-+,7.25\nxxxx,----,1e-3\nzzzz,---+,2\n",
+    '"zzzz","++++","5"\nzzzz,++++,-2\n',
+    "",
+    "zzzz,++++,3\nqqqq,++++,3\nzzzz,+*++,3\n",
+    "zzzz,+*++,3\nqqqq,++++,3\n",
+    "zzzz,++++,x\nqqqq,++++,3\n",
+    "zzzz,++++,3,7\nqqqq,++++,3\n",
+    "xxxx,++++,0\nzzzz,++++,nan\n",
+    "xxxx,++++,nan\nzzzz,++++,0\n",
+    "xxxx,++++,1\nxxxx,++++,-1\n",
+])
+def test_read_counts_matches_the_array_oracle_result_or_error(tmp_path, body):
+    path = tmp_path / "counts.csv"
+    path.write_text("setting,outcome,count\n" + body)
+    try:
+        want = record_bits(read_counts_by_arrays(path))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_counts(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert record_bits(read_counts(path)) == want
 
 
 def test_density_matrix_json_round_trip():
