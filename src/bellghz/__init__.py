@@ -27,7 +27,7 @@ _EXPORTS = {
         "fidelity", "fidelity_from_cover", "lu_invariance_check", "pairwise_witness",
         "setting_cover", "three_tangle",
     ),
-    "circuit": ("PipelineConfig", "PipelineResult", "run_pipeline"),
+    "circuit": ("PipelineResult", "run_pipeline"),
     "family": (
         "CatalogEntry", "CrossingPoint", "FamilyPoint", "QubitState4", "alpha", "catalog",
         "class_moduli", "find_crossings", "gamma_for_alpha", "probability", "state_at",

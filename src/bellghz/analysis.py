@@ -88,6 +88,9 @@ class CorrelationTensor:
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, labels: str) -> float:
+        """Entry by a four-letter label over AXES, e.g. ``"0zxx"``."""
+        if not (isinstance(labels, str) and len(labels) == 4 and set(labels) <= set(AXES)):
+            raise ValueError(f"correlation label must be four letters of {AXES!r}; got {labels!r}")
         return float(self.values[tuple(AXES.index(a) for a in labels)])
 
     def purity(self) -> float:

@@ -13,8 +13,7 @@ photon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,28 +45,24 @@ def half_wave_plate(spatial: str, theta: float) -> ModeTransform:
     )
 
 
-def polarizing_beam_splitter(
-    in_a: str = "a", in_b: str = "b", out_c: str = "c", out_d: str = "d"
-) -> ModeTransform:
-    """PBS overlapping two input paths into two output paths.
+def polarizing_beam_splitter() -> ModeTransform:
+    """PBS overlapping input paths a, b into output paths c, d.
 
     Transmits H with unit coefficient and reflects V with a factor i;
     the i keeps the four-port scattering matrix unitary and carries the
     physical reflection phase that fixes the sign of the Bell-pair
-    amplitude relative to the GHZ part.  Port routing: out_c collects
-    transmitted in_a and reflected in_b, out_d the other two; the
-    reverse direction completes the unitary.
+    amplitude relative to the GHZ part.  Port routing: c collects
+    transmitted a and reflected b, d the other two; the reverse
+    direction completes the unitary.
     """
-    modes = tuple(
-        Mode(sp, pol) for sp in (in_a, in_b, out_c, out_d) for pol in "HV"
-    )
+    modes = tuple(Mode(sp, pol) for sp in "abcd" for pol in "HV")
     idx = {m: i for i, m in enumerate(modes)}
     u = np.zeros((8, 8), dtype=complex)
     hops = [
-        (Mode(in_a, "H"), Mode(out_c, "H"), 1.0),
-        (Mode(in_b, "V"), Mode(out_c, "V"), 1.0j),
-        (Mode(in_b, "H"), Mode(out_d, "H"), 1.0),
-        (Mode(in_a, "V"), Mode(out_d, "V"), 1.0j),
+        (Mode("a", "H"), Mode("c", "H"), 1.0),
+        (Mode("b", "V"), Mode("c", "V"), 1.0j),
+        (Mode("b", "H"), Mode("d", "H"), 1.0),
+        (Mode("a", "V"), Mode("d", "V"), 1.0j),
     ]
     for src, dst, coef in hops:
         u[idx[dst], idx[src]] = coef
@@ -104,7 +99,7 @@ def standard_elements(gamma: float) -> tuple[ModeTransform, ...]:
     g = check_gamma(gamma)
     return (
         half_wave_plate("a", g),
-        polarizing_beam_splitter("a", "b", "c", "d"),
+        polarizing_beam_splitter(),
         half_wave_plate("c", math.pi / 4),
         fifty_fifty_splitter("c", "e", "f"),
         fifty_fifty_splitter("d", "g", "h"),
@@ -139,41 +134,20 @@ def spdc_term(order: int) -> FockState:
     return FockState.from_occupations(REGISTER, terms)
 
 
-def spdc_second_order() -> FockState:
-    """The four-photon double-pair emission driving the experiment."""
-    return spdc_term(2)
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """What to run: tuning angle, element list, detection pattern.
-
-    ``elements`` None means the standard pipeline at ``gamma``;
-    ``postselect_pattern`` None means one photon per output path.
-    """
-
-    gamma: float
-    elements: tuple[ModeTransform, ...] | None = None
-    postselect_pattern: Mapping[str, int] | None = None
-
-    def __post_init__(self) -> None:
-        check_gamma(self.gamma)
-
-
 class PipelineResult(NamedTuple):
     state: QubitState4
     probability: float
 
 
-def to_qubits(state: FockState, outputs: Sequence[str] = OUTPUTS) -> QubitState4:
+def to_qubits(state: FockState) -> QubitState4:
     """Read a one-photon-per-output Fock component as four qubits.
 
     Basis index packs the polarizations in output order, H = 0, V = 1,
     qubit 1 most significant.
     """
     pos = {m: i for i, m in enumerate(state.register)}
-    h_pos = [pos[Mode(sp, "H")] for sp in outputs]
-    v_pos = [pos[Mode(sp, "V")] for sp in outputs]
+    h_pos = [pos[Mode(sp, "H")] for sp in OUTPUTS]
+    v_pos = [pos[Mode(sp, "V")] for sp in OUTPUTS]
     qubit_pos = set(h_pos) | set(v_pos)
     vec = np.zeros(16, dtype=complex)
     for occ, amp in state.amps.items():
@@ -184,29 +158,26 @@ def to_qubits(state: FockState, outputs: Sequence[str] = OUTPUTS) -> QubitState4
             nh, nv = occ[h_pos[k]], occ[v_pos[k]]
             if nh + nv != 1:
                 raise ValueError(
-                    f"path {outputs[k]!r} does not hold exactly one photon"
+                    f"path {OUTPUTS[k]!r} does not hold exactly one photon"
                 )
             idx = (idx << 1) | (1 if nv else 0)
         vec[idx] = amp
     return QubitState4(vec)
 
 
-def run_pipeline(cfg: PipelineConfig | float) -> PipelineResult:
-    """Propagate the double-pair emission and post-select coincidences.
+def run_pipeline(gamma: float) -> PipelineResult:
+    """Propagate the double-pair emission through the pipeline at angle
+    ``gamma`` and post-select coincidences.
 
     Returns the normalized four-qubit state (global phase fixed by the
     largest amplitude) and the success probability.
     """
-    if not isinstance(cfg, PipelineConfig):
-        cfg = PipelineConfig(float(cfg))
-    elements = cfg.elements if cfg.elements is not None else standard_elements(cfg.gamma)
-    pattern = dict(cfg.postselect_pattern or COINCIDENCE_PATTERN)
-    state = spdc_second_order()
-    for element in elements:
+    state = spdc_term(2)
+    for element in standard_elements(gamma):
         state = apply_transform(state, element)
-    kept, prob = postselect(state, pattern)
+    kept, prob = postselect(state, COINCIDENCE_PATTERN)
     if not prob > 0.0:
-        raise RuntimeError("coincidence probability vanished; broken element list?")
+        raise RuntimeError("coincidence probability vanished")
     return PipelineResult(to_qubits(kept).canonical(), prob)
 
 
@@ -254,7 +225,7 @@ def interference_terms(gamma: float) -> InterferenceReport:
     report makes both mechanisms visible.
     """
     g = check_gamma(gamma)
-    final, prob = run_pipeline(PipelineConfig(g))
+    final, prob = run_pipeline(g)
     contribs = tuple(
         complex(np.vdot(final.vec, math.sqrt(p_term) * vec)) if p_term else 0.0j
         for p_term, vec in source_term_coincidences(g)

@@ -328,6 +328,10 @@ class CrossingPoint(NamedTuple):
 _TOUCH_CANDIDATE = 1e-2
 #: Refined |difference| must fall below this for a contact to count.
 _TOUCH_ACCEPT = 1e-9
+#: Spacing of the angle grid that brackets the crossings.
+_CROSSING_STEP = 1e-4
+#: Roots of one class pair closer than this are one crossing.
+_CROSSING_DEDUPE = 1e-8
 
 
 def _refine_stationary(diff: Callable[[float], float], lo: float, hi: float) -> float | None:
@@ -357,17 +361,18 @@ def _refine_stationary(diff: Callable[[float], float], lo: float, hi: float) -> 
     return 0.5 * (lo + hi)
 
 
-def find_crossings(step: float = 1e-4, dedupe: float = 1e-8) -> list[CrossingPoint]:
+def find_crossings() -> list[CrossingPoint]:
     """Locate every gamma in (0, pi/4) where two class moduli meet.
 
-    Transversal crossings are bracketed by sign changes on a ``step``
-    grid and polished by Brent root finding.  Tangential contacts (the
-    GHZ point, where three classes touch 1 and two touch 0) produce no
-    sign change; they appear as interior local minima of |difference|
-    and are refined by bisecting on the sign of the slope instead.
-    Roots of the same class pair closer than ``dedupe`` are merged.
+    Transversal crossings are bracketed by sign changes on a
+    ``_CROSSING_STEP`` grid and polished by Brent root finding.
+    Tangential contacts (the GHZ point, where three classes touch 1 and
+    two touch 0) produce no sign change; they appear as interior local
+    minima of |difference| and are refined by bisecting on the sign of
+    the slope instead.  Roots of the same class pair closer than
+    ``_CROSSING_DEDUPE`` are merged.
     """
-    grid = np.arange(step, GAMMA_MAX, step)
+    grid = np.arange(_CROSSING_STEP, GAMMA_MAX, _CROSSING_STEP)
     points = grid.tolist()
     moduli = _grid_moduli(grid)
     found: list[CrossingPoint] = []
@@ -397,7 +402,7 @@ def find_crossings(step: float = 1e-4, dedupe: float = 1e-8) -> list[CrossingPoi
             roots.sort()
             merged: list[float] = []
             for r in roots:
-                if not merged or r - merged[-1] > dedupe:
+                if not merged or r - merged[-1] > _CROSSING_DEDUPE:
                     merged.append(r)
             pair = (CLASS_NAMES[i], CLASS_NAMES[j])
             found.extend(CrossingPoint(r, pair) for r in merged)

@@ -85,28 +85,25 @@ class FockState:
     def from_occupations(
         cls,
         register: Sequence[Mode],
-        terms: Mapping[tuple, complex],
+        terms: Mapping[tuple[Mode, ...], complex],
     ) -> "FockState":
         """Build a state from sparse terms.
 
-        Keys are either full occupation tuples of ints in register
-        order, or tuples of :class:`Mode` entries listing each photon
+        Keys are tuples of :class:`Mode` entries listing each photon
         once, e.g. ``(aH, aH, bV)`` for two photons in aH and one in
-        bV.  Amplitudes on coinciding occupations add.
+        bV.  Amplitudes on coinciding occupations add.  Occupation
+        vectors go to the constructor directly.
         """
         reg = tuple(register)
         index = {m: i for i, m in enumerate(reg)}
         amps: dict[tuple[int, ...], complex] = {}
         for key, amp in terms.items():
-            if all(isinstance(x, Mode) for x in key):
-                vec = [0] * len(reg)
-                for m in key:
-                    if m not in index:
-                        raise ValueError(f"mode {m} not present in register")
-                    vec[index[m]] += 1
-                occ = tuple(vec)
-            else:
-                occ = key
+            vec = [0] * len(reg)
+            for m in key:
+                if m not in index:
+                    raise ValueError(f"mode {m} not present in register")
+                vec[index[m]] += 1
+            occ = tuple(vec)
             amps[occ] = amps.get(occ, 0.0j) + complex(amp)
         return cls(reg, amps)
 
@@ -119,11 +116,6 @@ class FockState:
             raise ValueError("cannot normalize an empty state")
         s = 1.0 / math.sqrt(n2)
         return FockState(self.register, {o: a * s for o, a in self.amps.items()})
-
-    def pruned(self, eps: float = PRUNE_EPS) -> "FockState":
-        return FockState(
-            self.register, {o: a for o, a in self.amps.items() if abs(a) > eps}
-        )
 
     def photon_numbers(self) -> set[int]:
         """Total photon counts present across terms."""
@@ -231,7 +223,7 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
                 new_occ[p] = n
             key = tuple(new_occ)
             out[key] = out.get(key, 0.0j) + a
-    return FockState(state.register, out).pruned()
+    return FockState(state.register, {o: a for o, a in out.items() if abs(a) > PRUNE_EPS})
 
 
 def compose(transforms: Iterable[ModeTransform], register: Sequence[Mode]) -> ModeTransform:

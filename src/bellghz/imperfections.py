@@ -133,10 +133,10 @@ def _emission_orders(g: float, cfg: NoiseConfig):
 
     The six-photon weight is c3 * q3; at unit efficiency c3 is 0 and rho3 None.
     """
-    from .circuit import PipelineConfig, run_pipeline
+    from .circuit import run_pipeline
 
     tau, eta = cfg.pair_probability, cfg.efficiency
-    ideal, p = run_pipeline(PipelineConfig(g))
+    ideal, p = run_pipeline(g)
     weight_double = 3.0 * tau**4 * eta**4 * p
     c3 = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2
     rho3, q3 = _third_order_branches(g) if c3 else (None, 0.0)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -179,7 +181,13 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
 
 
 def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
-    """Infinite-statistics records: counts equal shots times probability."""
+    """Infinite-statistics records: counts equal shots times probability.
+
+    Raises ValueError unless ``shots`` is a finite real number above 0.
+    """
+    real = isinstance(shots, numbers.Real) and not isinstance(shots, bool)
+    if not (real and 0 < shots <= sys.float_info.max):
+        raise ValueError(f"shots must be a finite real number above 0, got {shots!r}")
     rho = as_density(state)
     return [
         CountRecord(s, tuple(float(shots) * setting_probabilities(rho, s)), float(shots))

@@ -87,6 +87,14 @@ def test_correlations_reject_bad_inputs():
         correlations(np.full((16, 16), np.nan))
 
 
+@pytest.mark.parametrize("labels", ["xy", "xxxxx", "qqqq", "XXXX", "", 3, ("x", "x", "x", "x")])
+def test_correlation_tensor_rejects_bad_labels(labels):
+    tensor = correlations(state_at(0.1).state)
+    with pytest.raises(ValueError, match="correlation label") as err:
+        tensor[labels]
+    assert repr(labels) in str(err.value)
+
+
 def test_as_density_accepts_matrix_carrier():
     class Carrier:
         matrix = MIXED

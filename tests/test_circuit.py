@@ -10,14 +10,12 @@ from bellghz.circuit import (
     OUTPUTS,
     REGISTER,
     InterferenceReport,
-    PipelineConfig,
     fifty_fifty_splitter,
     half_wave_plate,
     interference_terms,
     pipeline_transform,
     polarizing_beam_splitter,
     run_pipeline,
-    spdc_second_order,
     spdc_term,
     standard_elements,
     to_qubits,
@@ -44,7 +42,7 @@ def test_register_layout():
 
 
 def test_spdc_second_order_amplitudes():
-    st = spdc_second_order()
+    st = spdc_term(2)
     assert st.norm_sq() == pytest.approx(1.0)
     assert st.amps[occ_of(aH=1, aV=1, bH=1, bV=1)] == pytest.approx(1 / SQRT3)
     assert st.amps[occ_of(aH=2, bV=2)] == pytest.approx(1 / SQRT3)
@@ -105,25 +103,25 @@ def test_balanced_splitter_column():
     [(0.0, 1 / 12), (math.pi / 12, 1 / 32), (math.pi / 8, 1 / 24), (math.pi / 4, 1 / 4)],
 )
 def test_run_pipeline_anchor_probabilities(gamma, p_expected):
-    _, p = run_pipeline(PipelineConfig(gamma))
+    _, p = run_pipeline(gamma)
     assert p == pytest.approx(p_expected, abs=1e-12)
 
 
 def test_run_pipeline_bell_pair_product():
-    st, _ = run_pipeline(PipelineConfig(0.0))
+    st, _ = run_pipeline(0.0)
     expect = state_at(0.0).state
     assert abs(st.overlap(expect)) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(st.vec, expect.vec, atol=1e-12)
 
 
 def test_run_pipeline_ghz():
-    st, _ = run_pipeline(PipelineConfig(math.pi / 8))
+    st, _ = run_pipeline(math.pi / 8)
     expect = state_at(math.pi / 8).state
     np.testing.assert_allclose(st.vec, expect.vec, atol=1e-12)
 
 
 def test_run_pipeline_dicke():
-    st, p = run_pipeline(PipelineConfig(math.pi / 12))
+    st, p = run_pipeline(math.pi / 12)
     expect = state_at(math.pi / 12).state
     assert abs(st.overlap(expect)) >= 1 - 1e-12
     assert p == pytest.approx(1 / 32, abs=1e-12)
@@ -132,7 +130,7 @@ def test_run_pipeline_dicke():
 def test_oracle_equivalence_on_grid():
     # acceptance runs the full 101-point version; spot-check here
     for g in np.linspace(0.0, math.pi / 4, 21):
-        st, p = run_pipeline(PipelineConfig(g))
+        st, p = run_pipeline(g)
         pt = state_at(g)
         assert abs(st.overlap(pt.state)) >= 1 - 1e-10, g
         assert p == pytest.approx(pt.probability, abs=1e-10)
@@ -153,14 +151,14 @@ def test_pipeline_matches_closed_form_at_random_angles():
 def test_simulated_sign_of_bell_part():
     # past the GHZ point the Bell-pair amplitude turns negative
     for g in (0.15 * math.pi, 0.2 * math.pi, math.pi / 4):
-        st, _ = run_pipeline(PipelineConfig(g))
+        st, _ = run_pipeline(g)
         assert st.vec[0b0011].real > 0
         assert st.vec[0b0101].real < 0
         assert alpha(g) < 0
 
 
 def test_probability_range_and_maximum():
-    probs = [run_pipeline(PipelineConfig(g)).probability for g in np.linspace(0, math.pi / 4, 41)]
+    probs = [run_pipeline(g).probability for g in np.linspace(0, math.pi / 4, 41)]
     assert all(0 < p <= 0.25 + 1e-12 for p in probs)
     assert max(probs) == pytest.approx(0.25)
     assert probs[-1] == pytest.approx(0.25)
@@ -168,30 +166,27 @@ def test_probability_range_and_maximum():
 
 def test_pipeline_transform_equals_sequential():
     g = 0.07 * math.pi
-    seq = spdc_second_order()
+    seq = spdc_term(2)
     for el in standard_elements(g):
         seq = apply_transform(seq, el)
-    once = apply_transform(spdc_second_order(), pipeline_transform(g))
+    once = apply_transform(spdc_term(2), pipeline_transform(g))
     keys = set(seq.amps) | set(once.amps)
     for k in keys:
         assert seq.amps.get(k, 0j) == pytest.approx(once.amps.get(k, 0j), abs=1e-10)
 
 
-def test_config_gamma_validated():
-    with pytest.raises(ValueError, match="pi/4"):
-        PipelineConfig(0.3 * math.pi)
-
-
-def test_run_pipeline_raises_when_no_term_survives():
-    # two photons per output is eight photons from a four-photon emission
-    cfg = PipelineConfig(0.1, postselect_pattern={sp: 2 for sp in OUTPUTS})
-    with pytest.raises(RuntimeError, match="vanished"):
-        run_pipeline(cfg)
+def test_run_pipeline_validates_gamma():
+    for bad in (0.3 * math.pi, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="pi/4"):
+            run_pipeline(bad)
+    zero, negative_zero = run_pipeline(0.0), run_pipeline(-0.0)
+    assert negative_zero.state.vec.tobytes() == zero.state.vec.tobytes()
+    assert negative_zero.probability.hex() == zero.probability.hex()
 
 
 def test_to_qubits_rejects_bunched_patterns():
     st, _ = postselect(
-        apply_transform(spdc_second_order(), pipeline_transform(0.0)),
+        apply_transform(spdc_term(2), pipeline_transform(0.0)),
         {"e": 2, "g": 2},
     )
     with pytest.raises(ValueError, match="exactly one photon"):

@@ -293,10 +293,13 @@ def test_overlap_invariant_under_shared_unitary():
 
 def test_from_occupations_accepts_photon_lists_and_vectors():
     reg = (AH, AV, BH, BV)
-    by_vector = FockState.from_occupations(reg, {(1, 0, 0, 1): INV_SQRT2})
+    by_vector = FockState(reg, {(1, 0, 0, 1): INV_SQRT2})
     by_photons = FockState.from_occupations(reg, {(AH, BV): INV_SQRT2})
     assert by_vector.amps == by_photons.amps
     doubled = FockState.from_occupations(reg, {(AH, AH): 1.0})
     assert doubled.amps == {(2, 0, 0, 0): 1.0}
     with pytest.raises(ValueError, match="not present"):
         FockState.from_occupations(reg, {(mode("qH"),): 1.0})
+    # occupation vectors go to the constructor; as photon lists they name no mode
+    with pytest.raises(ValueError, match="not present"):
+        FockState.from_occupations(reg, {(1, 0, 0, 1): 1.0})

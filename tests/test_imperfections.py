@@ -13,7 +13,6 @@ from bellghz.circuit import (
     COINCIDENCE_PATTERN,
     REGISTER,
     SPATIALS,
-    PipelineConfig,
     pipeline_transform,
     run_pipeline,
     spdc_term,
@@ -300,7 +299,7 @@ def noise_bytes(configs):
     for gamma, cfg in configs:
         fourfold = higher_order_fourfolds(gamma, cfg)
         rho = noisy_density_matrix(gamma, cfg)
-        ideal = run_pipeline(PipelineConfig(gamma))
+        ideal = run_pipeline(gamma)
         out.append([np.asarray(v).tobytes()
                     for v in (*fourfold, rho, ideal.state.vec, ideal.probability)])
     return out

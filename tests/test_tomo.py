@@ -137,6 +137,21 @@ def test_setting_probabilities_rejects_unknown_settings(setting):
         setting_probabilities(state_at(0.1).state, setting)
 
 
+@pytest.mark.parametrize(
+    "shots", [-1, 0, 0.0, math.nan, math.inf, -math.inf, 10**400, "2", True, None]
+)
+def test_exact_frequency_records_rejects_bad_shots(shots):
+    with pytest.raises(ValueError, match="^shots must be a finite real number above 0"):
+        exact_frequency_records(state_at(0.1).state, shots)
+
+
+def test_exact_frequency_records_takes_any_real_shots():
+    rho = state_at(0.1).state
+    floats = exact_frequency_records(rho, 7.0)
+    for shots in (7, np.int64(7), np.float64(7.0)):
+        assert exact_frequency_records(rho, shots) == floats
+
+
 def test_simulated_frequencies_track_probabilities():
     state = state_at(0.1).state
     rec = simulate_counts(state, 200_000, seed=11)[SETTINGS.index("zzzz")]
