@@ -15,7 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .family import CLASS_NAMES, QubitState4, _amplitudes, alpha, check_gamma, state_at
+from .family import (
+    CLASS_NAMES, QubitState4, _amplitudes, _nonnegative_int, alpha, check_gamma, state_at,
+)
 
 #: Axis labels of the correlation tensor, in index order.
 AXES = "0xyz"
@@ -184,19 +186,23 @@ def fidelity(rho, gamma: float) -> float:
 #: The 7 bipartitions of four qubits: every cut is named by its smaller
 #: side, with qubit 0 kept on the named side for the 2|2 cuts.
 BIPARTITIONS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
-#: The 2|2 cuts, the only ones c needs (see :func:`biseparable_bounds`).
-_DECISIVE_CUTS = BIPARTITIONS[4:]
+#: alpha^2 at which the (0,1) and (0,2) cuts give the same c (gamma = pi/12),
+#: and the margin around it inside which both are computed
+_CUT_SWITCH = 2.0 / 3.0
+_CUT_MARGIN = 1e-9
 
 
 def biseparable_bounds(gammas) -> list[float]:
     """Maximal overlap c(gamma) of the family state with any biseparable state.
 
     c is the largest squared Schmidt coefficient over the 7 bipartitions,
-    the top singular value of the reshaped amplitude matrix.  Only the
-    three 2|2 cuts are computed: the four 1|3 cuts give exactly 1/2,
-    because every single-qubit marginal is maximally mixed, while the 2|2
-    cuts give c = max(alpha^2, (|alpha|/2 + sqrt((1 - alpha^2)/2))^2),
-    which is at least 1/2.
+    the top singular value of the reshaped amplitude matrix.  The four
+    1|3 cuts give exactly 1/2, because every single-qubit marginal is
+    maximally mixed.  Of the 2|2 cuts, (0,1) gives max(alpha^2,
+    (1 - alpha^2)/2) and (0,2) gives (|alpha|/2 + sqrt((1 - alpha^2)/2))^2,
+    both at least 1/2; (0,3) is (0,2) again, since the state is symmetric
+    under swapping qubits 3 and 4.  :func:`_bounds_at_alphas` says which
+    cut is computed at which angle.
     """
     return _bounds_at_alphas([alpha(g) for g in gammas])
 
@@ -204,21 +210,34 @@ def biseparable_bounds(gammas) -> list[float]:
 def _bounds_at_alphas(alphas: list[float]) -> list[float]:
     """c for the family states of the given Bell-pair amplitudes.
 
-    The N states are stacked, so each cut is one ``np.linalg.svd`` over N
-    matrices: 3 calls for the whole list, and each stacked singular value
-    equals the one of its matrix alone.  The squaring stays scalar,
-    ``t ** 2`` on a Python float, which is libm ``pow``; numpy's array
-    ``**2`` computes ``t * t`` and differs in the last bit for about one
-    angle in 3,000.
+    Every value is the top singular value of one cut, squared.  The
+    (0,1) cut decides c where alpha^2 > 2/3 (gamma < pi/12) and the (0,2)
+    cut where alpha^2 < 2/3, so each cut is computed only on its side of
+    the switch, widened by _CUT_MARGIN; inside that band both are and c
+    is their maximum.  The margin is far above the rounding of alpha^2
+    and of an SVD, and the (0,3) matrices equal the (0,2) ones entry for
+    entry, so c has the bits of the maximum over all three cuts.
+
+    Each cut builds the states of its own angles only and stacks them
+    into one ``np.linalg.svd`` call; each stacked singular value equals
+    the one of its matrix alone, and the amplitudes are elementwise, so a
+    subset gets the bits the whole list would.  The
+    squaring stays scalar, ``t ** 2`` on a Python float, which is libm
+    ``pow``; numpy's array ``**2`` computes ``t * t`` and differs in the
+    last bit for about one angle in 3,000.
     """
-    vecs = _amplitudes(alphas).reshape(-1, 2, 2, 2, 2)
+    a = np.asarray(alphas, dtype=float)
+    a2 = a * a
     best = [0.0] * len(alphas)
-    for cut in _DECISIVE_CUTS:
+    for cut, where in (((0, 1), a2 >= _CUT_SWITCH - _CUT_MARGIN),
+                       ((0, 2), a2 <= _CUT_SWITCH + _CUT_MARGIN)):
+        idx = np.flatnonzero(where)
         rest = tuple(q for q in range(4) if q not in cut)
-        axes = (0, *(q + 1 for q in cut + rest))
-        mats = vecs.transpose(axes).reshape(len(alphas), 2 ** len(cut), 2 ** len(rest))
+        vecs = _amplitudes(a[idx]).reshape(-1, 2, 2, 2, 2)
+        mats = vecs.transpose(0, *(q + 1 for q in cut + rest)).reshape(-1, 4, 4)
         tops = np.linalg.svd(mats, compute_uv=False)[:, 0].tolist()
-        best = [max(b, t**2) for b, t in zip(best, tops)]
+        for i, t in zip(idx.tolist(), tops):
+            best[i] = max(best[i], t**2)
     return best
 
 
@@ -354,15 +373,17 @@ def lu_invariance_check(gamma: float, trials: int = 100, seed: int = 7) -> float
     Near zero only for states invariant under collective local unitaries;
     order one for generic family members.  Psi4+ also gives an order-one
     result: it equals (Z x Z x 1 x 1) Psi4-, so it is invariant only under
-    the twisted group (ZUZ) x (ZUZ) x U x U.
+    the twisted group (ZUZ) x (ZUZ) x U x U.  Raises ValueError unless
+    ``trials`` is a positive integer and ``seed`` a non-negative one.
     """
     g = check_gamma(gamma)
-    if not trials >= 1:
+    trials = _nonnegative_int("trials", trials)
+    if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     vec = state_at(g).state.vec
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_nonnegative_int("seed", seed))
     worst = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         u = haar_qubit_unitary(rng)
         u4 = np.kron(np.kron(u, u), np.kron(u, u))
         worst = max(worst, abs(1.0 - abs(np.vdot(vec, u4 @ vec))))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .family import QubitState4, check_gamma
+from .family import QubitState4, _nonnegative_int, check_gamma
 from .fock import FockState, Mode, ModeTransform, apply_transform, compose, postselect
 
 SPATIALS = "abcdefgh"
@@ -116,8 +116,10 @@ def spdc_term(order: int) -> FockState:
 
     The n-th order term (a_H+ b_V+ + a_V+ b_H+)^n / n! |vac> expands to
     equal unit weights on the n+1 occupations (a_H:k, a_V:n-k, b_H:n-k,
-    b_V:k); normalization is therefore 1/sqrt(n+1).
+    b_V:k); normalization is therefore 1/sqrt(n+1).  Raises ValueError
+    unless ``order`` is a positive integer.
     """
+    order = _nonnegative_int("emission order", order)
     if order < 1:
         raise ValueError("emission order must be >= 1")
     amp = 1.0 / math.sqrt(order + 1.0)

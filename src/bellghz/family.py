@@ -24,6 +24,7 @@ together.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -43,8 +44,37 @@ QUBITS = ("1", "2", "3", "4")
 CLASS_NAMES = ("iiii", "0z0z", "00zz", "0x0x", "00xx")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming it unless it is a real number.
+
+    Ints, floats and numpy real scalars pass; bools, strings, complex
+    numbers, None and arrays do not.  An int too large for a float gives
+    an infinity of its sign, which every range check then rejects.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _nonnegative_int(name: str, value) -> int:
+    """``value`` as an int; ValueError naming it unless it is an integer >= 0.
+
+    Python and numpy integers pass; bools, floats (even integral ones)
+    and strings do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def check_gamma(gamma: float) -> float:
-    g = float(gamma) + 0.0  # -0.0 + 0.0 is +0.0: an angle of -0 is returned as 0
+    """``gamma`` as a float in [0, pi/4]; ValueError naming gamma otherwise."""
+    # a float is the common case: alpha and probability check every angle they get
+    g = (gamma if type(gamma) is float else _real("gamma", gamma)) + 0.0
+    # -0.0 + 0.0 is +0.0: an angle of -0 is returned as 0
     if not GAMMA_MIN <= g <= GAMMA_MAX:
         raise ValueError(
             f"gamma must lie in [0, pi/4] = [0, {GAMMA_MAX!r}] rad; got {g!r}"
@@ -209,7 +239,7 @@ def gamma_for_alpha(target: float, branch: str = "first") -> float:
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     lo, hi, amin, amax = _BRANCHES[branch]
-    t = float(target)
+    t = _real("target", target)
     if not amin - 1e-12 <= t <= amax + 1e-12:
         raise ValueError(
             f"alpha={t!r} has no solution on the {branch} branch "

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cache
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,14 +166,14 @@ def _position(register: tuple[Mode, ...], m: Mode) -> int:
         raise ValueError(f"mode {m} not present in register") from None
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All ways to distribute n photons over k slots."""
+@cache
+def _compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All ways to distribute n photons over k slots, first slot slowest."""
     if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first, *rest)
+        return ((n,),)
+    return tuple(
+        (first, *rest) for first in range(n + 1) for rest in _compositions(n - first, k - 1)
+    )
 
 
 def apply_transform(state: FockState, t: ModeTransform) -> FockState:
@@ -182,6 +183,13 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     divided by the sqrt(n!) of its occupations), each affected creation
     operator is substituted through ``t.matrix``, and the resulting
     monomials are collected back into occupation vectors.
+
+    Substituting (a_j^dag)^n gives one monomial per composition of n
+    over the nonzero entries u_l of column j, with coefficient n! times
+    the product of the factors u_l^m / m!.  Those factors depend on the
+    column, n and the composition alone, so each is computed once per
+    call, the first time a term needs it, and then multiplied into every
+    term in the same order as a term-by-term expansion would.
     """
     pos = [_position(state.register, m) for m in t.modes]
     u = t.matrix
@@ -190,6 +198,9 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     cols: list[list[tuple[int, complex]]] = [
         [(l, u[l, j]) for l in range(k) if abs(u[l, j]) > 1e-16] for j in range(k)
     ]
+    # (j, n) -> per composition, the (target mode, photons, factor) of each
+    # nonzero part; ul stays a numpy scalar, whose ** can differ from complex's
+    expansions: dict[tuple[int, int], list[tuple[tuple[int, int, complex], ...]]] = {}
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.amps.items():
         sub = tuple(occ[p] for p in pos)
@@ -200,17 +211,23 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
         for j, nj in enumerate(sub):
             if nj == 0:
                 continue
-            col = cols[j]
+            steps = expansions.get((j, nj))
+            if steps is None:
+                col = cols[j]
+                steps = expansions[j, nj] = [
+                    tuple((l, nphot, ul ** nphot / _FACT[nphot])
+                          for (l, ul), nphot in zip(col, comp) if nphot)
+                    for comp in _compositions(nj, len(col))
+                ]
             grown: dict[tuple[int, ...], complex] = {}
             for part, c in poly.items():
                 base = c * _FACT[nj]
-                for comp in _compositions(nj, len(col)):
+                for factors in steps:
                     cc = base
                     tgt = list(part)
-                    for (l, ul), nphot in zip(col, comp):
-                        if nphot:
-                            cc *= ul ** nphot / _FACT[nphot]
-                            tgt[l] += nphot
+                    for l, nphot, f in factors:
+                        cc *= f
+                        tgt[l] += nphot
                     key = tuple(tgt)
                     grown[key] = grown.get(key, 0.0j) + cc
             poly = grown

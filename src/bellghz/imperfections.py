@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .family import QubitState4, check_gamma, state_at
+from .family import QubitState4, _real, check_gamma, state_at
 
 #: Largest pair-emission strength the truncated expansion supports;
 #: beyond this the neglected fourth order is no longer subleading.
@@ -45,9 +44,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            _real(f.name, getattr(self, f.name))
         if not 0.0 <= self.pair_probability <= MAX_PAIR_PROBABILITY:
             raise ValueError(
                 f"pair_probability {self.pair_probability!r} is outside the supported "

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import SETTINGS, WitnessReport, _PAULI_STACK, as_density, evaluate_witness
-from .family import check_gamma
+from .family import _nonnegative_int, _real, check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
 _SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
@@ -162,13 +162,16 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
     The stream for setting i is seeded with (seed, i), so any subset of
     settings can be regenerated independently and in any order.  Raises
     ValueError unless 1 <= shots_per_setting <= MAX_SHOTS_PER_SETTING,
-    which also rejects NaN and infinity.
+    which also rejects NaN and infinity, or unless ``seed`` is a
+    non-negative integer.
     """
+    _real("shots_per_setting", shots_per_setting)
     if not 1 <= shots_per_setting <= MAX_SHOTS_PER_SETTING:
         raise ValueError(
             f"shots_per_setting must be finite, at least 1 and at most "
             f"{MAX_SHOTS_PER_SETTING:g}, got {shots_per_setting!r}"
         )
+    seed = _nonnegative_int("seed", seed)
     rho = as_density(state)
     records = []
     for i, setting in enumerate(SETTINGS):

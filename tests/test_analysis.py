@@ -33,6 +33,7 @@ from bellghz import cli
 from bellghz.family import (
     CLASS_NAMES,
     QubitState4,
+    _amplitudes,
     alpha,
     catalog,
     class_moduli,
@@ -195,16 +196,54 @@ def test_biseparable_bounds_equal_the_per_cut_loop():
         biseparable_bounds([0.1, 1.0])
 
 
+def top_squares(gamma):
+    """The squared top singular value of every cut, in BIPARTITIONS order."""
+    vec = state_at(gamma).state.vec.reshape(2, 2, 2, 2)
+    tops = []
+    for cut in BIPARTITIONS:
+        rest = tuple(q for q in range(4) if q not in cut)
+        mat = vec.transpose(cut + rest).reshape(2 ** len(cut), -1)
+        tops.append(float(np.linalg.svd(mat, compute_uv=False)[0] ** 2))
+    return tops
+
+
 def test_biseparable_bounds_match_the_closed_form():
-    # 1|3 cuts give 1/2; the (0,1) cut max(a^2, (1 - a^2)/2); (0,2) and (0,3) the second term
     rng = np.random.default_rng(12)
     gammas = [e.gamma for e in catalog()] + rng.uniform(0, math.pi / 4, 200).tolist()
     gammas += sweep_grid(1001)
     for g, c in zip(gammas, biseparable_bounds(gammas)):
         a = alpha(g)
-        closed = max(a * a, (abs(a) / 2 + math.sqrt((1 - a * a) / 2)) ** 2)
-        assert abs(c - closed) <= 1e-14, g
+        pair = (abs(a) / 2 + math.sqrt((1 - a * a) / 2)) ** 2
+        closed = {(0,): 0.5, (1,): 0.5, (2,): 0.5, (3,): 0.5,
+                  (0, 1): max(a * a, (1 - a * a) / 2), (0, 2): pair, (0, 3): pair}
+        for cut, top in zip(BIPARTITIONS, top_squares(g)):
+            assert abs(top - closed[cut]) <= 1e-14, (g, cut)
+        assert abs(c - max(closed.values())) <= 1e-14, g
         assert c >= 0.5 - 1e-15
+
+
+def test_biseparable_bounds_equal_the_per_cut_loop_where_the_deciding_cut_changes():
+    # (0,1) decides c above alpha^2 = 2/3 (gamma < pi/12) and (0,2) below it
+    near = [math.pi / 12]
+    for direction in (0.0, 1.0):
+        g = math.pi / 12
+        for _ in range(2000):
+            g = math.nextafter(g, direction)
+            near.append(g)
+    band = np.linspace(math.pi / 12 - 1e-7, math.pi / 12 + 1e-7, 2001).tolist()
+    for gammas in (near, band):
+        assert biseparable_bounds(gammas) == [per_cut_bound(g) for g in gammas]
+
+
+def test_family_state_is_symmetric_under_swapping_qubits_3_and_4():
+    rng = np.random.default_rng(13)
+    # alpha > 0 on the first branch, alpha < 0 on the second
+    for a in [*rng.uniform(0.0, 1.0, 50), *rng.uniform(-math.sqrt(1 / 3), 0.0, 50)]:
+        vec = _amplitudes(a).reshape(2, 2, 2, 2)
+        assert np.array_equal(vec, vec.transpose(0, 1, 3, 2))
+        # so the (0,2) and (0,3) cut matrices are one array
+        assert np.array_equal(vec.transpose(0, 2, 1, 3).reshape(4, 4),
+                              vec.transpose(0, 3, 1, 2).reshape(4, 4))
 
 
 @pytest.mark.parametrize("steps", [2, 14, 97, 101, 951])
@@ -386,10 +425,21 @@ def test_three_tangle_rejects_non_finite_amplitudes(bad):
         three_tangle([bad] * 8)
 
 
-@pytest.mark.parametrize("trials", [-1, 0, 0.5, math.nan])
+@pytest.mark.parametrize("trials", [-1, 0, 0.5, 2.5, 2.0, math.nan, math.inf, True, "3", None])
 def test_lu_invariance_check_rejects_no_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         lu_invariance_check(math.pi / 4, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_lu_invariance_check_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        lu_invariance_check(math.pi / 8, trials=2, seed=seed)
+
+
+def test_lu_invariance_check_takes_numpy_integers():
+    want = lu_invariance_check(math.pi / 8, trials=3, seed=5)
+    assert lu_invariance_check(math.pi / 8, trials=np.int64(3), seed=np.uint8(5)) == want
 
 
 def test_three_tangle_range_on_random_states():

@@ -61,6 +61,13 @@ def test_spdc_term_orders():
     assert triple.norm_sq() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         spdc_term(0)
+    assert spdc_term(np.int64(3)) == triple
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, 2.0, True, "2", None])
+def test_spdc_term_rejects_orders_that_are_not_positive_integers(order):
+    with pytest.raises(ValueError, match="emission order"):
+        spdc_term(order)
 
 
 def test_half_wave_plate_matrix():

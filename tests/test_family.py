@@ -69,6 +69,44 @@ def test_gamma_domain_enforced():
             state_at(bad)
 
 
+NOT_REAL = ["0.1", False, True, np.bool_(True), 0.1 + 0j, np.complex128(0.1), None,
+            np.array([0.1]), np.array([[0.1, 0.2]]), [0.1]]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+def test_gamma_must_be_a_real_number(bad):
+    with pytest.raises(ValueError, match="gamma must be a real number"):
+        family.check_gamma(bad)
+    with pytest.raises(ValueError, match="gamma"):
+        state_at(bad)
+
+
+@pytest.mark.parametrize("bad", [10**400, -(10**400)])
+def test_gamma_too_large_for_a_float_is_out_of_range(bad):
+    with pytest.raises(ValueError, match="pi/4"):
+        family.check_gamma(bad)
+
+
+@pytest.mark.parametrize("good", [0, np.int64(0), np.uint8(0), np.float64(0.3), np.float32(0.3),
+                                  0.3, -0.0, math.pi / 4])
+def test_gamma_takes_ints_and_numpy_reals_as_their_float(good):
+    g = family.check_gamma(good)
+    assert type(g) is float
+    assert g.hex() == (float(good) + 0.0).hex()
+    assert alpha(good).hex() == alpha(float(good) + 0.0).hex()
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+def test_gamma_for_alpha_target_must_be_a_real_number(bad):
+    with pytest.raises(ValueError, match="target must be a real number"):
+        gamma_for_alpha(bad)
+
+
+def test_gamma_for_alpha_takes_numpy_reals_as_their_float():
+    assert gamma_for_alpha(np.float64(0.3)) == gamma_for_alpha(0.3)
+    assert gamma_for_alpha(np.int64(1)) == gamma_for_alpha(1) == 0.0
+
+
 def test_alpha_probability_identity_on_dense_grid():
     # 48 p(g) alpha(g)^2 == 4 cos^2(4g)
     for g in np.linspace(0.0, GAMMA_MAX, 2001):

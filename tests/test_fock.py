@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from bellghz import circuit
 from bellghz.fock import (
+    PRUNE_EPS,
     FockState,
     Mode,
     ModeTransform,
     apply_transform,
+    _position,
     compose,
     mode,
     overlap,
@@ -303,3 +306,106 @@ def test_from_occupations_accepts_photon_lists_and_vectors():
     # occupation vectors go to the constructor; as photon lists they name no mode
     with pytest.raises(ValueError, match="not present"):
         FockState.from_occupations(reg, {(1, 0, 0, 1): 1.0})
+
+
+_FACT = [math.factorial(n) for n in range(25)]
+_SQRT_FACT = [math.sqrt(f) for f in _FACT]
+
+
+def _compositions(n, k):
+    """All ways to distribute n photons over k slots."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first, *rest)
+
+
+def apply_transform_by_terms(state, t):
+    """The term-by-term substitution that ``apply_transform`` replaced, kept as its oracle.
+
+    Every factor ul ** nphot / nphot! is computed again for every term it
+    multiplies, and the compositions are generated again each time.
+    """
+    pos = [_position(state.register, m) for m in t.modes]
+    u = t.matrix
+    k = len(pos)
+    # nonzero entries per input mode; zero columns never spawn terms
+    cols = [[(l, u[l, j]) for l in range(k) if abs(u[l, j]) > 1e-16] for j in range(k)]
+    out = {}
+    for occ, amp in state.amps.items():
+        sub = tuple(occ[p] for p in pos)
+        coeff0 = complex(amp)
+        for n in sub:
+            coeff0 /= _SQRT_FACT[n]
+        poly = {(0,) * k: coeff0}
+        for j, nj in enumerate(sub):
+            if nj == 0:
+                continue
+            col = cols[j]
+            grown = {}
+            for part, c in poly.items():
+                base = c * _FACT[nj]
+                for comp in _compositions(nj, len(col)):
+                    cc = base
+                    tgt = list(part)
+                    for (l, ul), nphot in zip(col, comp):
+                        if nphot:
+                            cc *= ul ** nphot / _FACT[nphot]
+                            tgt[l] += nphot
+                    key = tuple(tgt)
+                    grown[key] = grown.get(key, 0.0j) + cc
+            poly = grown
+        for mono, c in poly.items():
+            a = c
+            for n in mono:
+                a *= _SQRT_FACT[n]
+            new_occ = list(occ)
+            for p, n in zip(pos, mono):
+                new_occ[p] = n
+            key = tuple(new_occ)
+            out[key] = out.get(key, 0.0j) + a
+    return FockState(state.register, {o: a for o, a in out.items() if abs(a) > PRUNE_EPS})
+
+
+def assert_same_bits(got, want):
+    """Same occupations in the same order, and amplitudes equal to the last bit."""
+    assert list(got.amps) == list(want.amps)
+    for a, b in zip(got.amps.values(), want.amps.values()):
+        assert type(a) is type(b)
+        assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+
+
+def test_apply_transform_equals_the_term_by_term_oracle_on_the_pipeline():
+    rng = np.random.default_rng(91)
+    angles = [0.0, math.pi / 8, math.pi / 4, *rng.uniform(0.0, math.pi / 4, 37).tolist()]
+    for gamma in angles:
+        for order in (2, 3):
+            source = circuit.spdc_term(order)
+            whole = circuit.pipeline_transform(gamma)
+            want = apply_transform_by_terms(source, whole)
+            assert_same_bits(apply_transform(source, whole), want)
+            state = source
+            for element in circuit.standard_elements(gamma):
+                want = apply_transform_by_terms(state, element)
+                state = apply_transform(state, element)
+                assert_same_bits(state, want)
+
+
+def test_apply_transform_equals_the_term_by_term_oracle_on_random_unitaries():
+    rng = np.random.default_rng(92)
+    reg = (AH, AV, BH, BV)
+    for trial in range(12):
+        amps = {}
+        for _ in range(3):
+            amps[tuple(int(n) for n in rng.integers(0, 7, 4))] = complex(*rng.standard_normal(2))
+        state = FockState(reg, amps)
+        u = haar_unitary(4, rng)
+        if trial % 2:  # block-diagonal with shuffled rows: half the entries are zero
+            u = np.zeros((4, 4), dtype=complex)
+            u[:2, :2], u[2:, 2:] = haar_unitary(2, rng), haar_unitary(2, rng)
+            u = u[rng.permutation(4)]
+        transforms = [ModeTransform(reg, u), ModeTransform((BV, AH), haar_unitary(2, rng))]
+        for t in transforms:
+            assert_same_bits(apply_transform(state, t), apply_transform_by_terms(state, t))

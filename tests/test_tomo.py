@@ -126,6 +126,24 @@ def test_simulate_counts_rejects_shots_numpy_cannot_sample(shots):
             simulate_counts(state_at(0.1).state, shots, seed=1)
 
 
+@pytest.mark.parametrize("shots", [True, "500", None, 500 + 0j])
+def test_simulate_counts_rejects_shots_that_are_not_real_numbers(shots):
+    with pytest.raises(ValueError, match="shots_per_setting"):
+        simulate_counts(state_at(0.1).state, shots, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 3.0, True, "3", None])
+def test_simulate_counts_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        simulate_counts(state_at(0.1).state, 500, seed=seed)
+
+
+def test_simulate_counts_takes_numpy_integers():
+    state = state_at(0.1).state
+    want = simulate_counts(state, 500, seed=3)
+    assert simulate_counts(state, np.int64(500), seed=np.int64(3)) == want
+
+
 def test_simulate_counts_accepts_the_largest_shots():
     records = simulate_counts(state_at(0.0).state, tomo.MAX_SHOTS_PER_SETTING, seed=1)
     assert all(r.shots == 1e18 for r in records)
