@@ -61,9 +61,10 @@ def as_density(state) -> np.ndarray:
         mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
     if mat.shape != (16, 16):
         raise ValueError("density matrix must be 16x16")
-    if not np.isfinite(mat).all():
+    # the ufuncs' own reductions: .all() and .max() would each add a Python call
+    if not np.logical_and.reduce(np.isfinite(mat), axis=None):
         raise ValueError("density matrix must be finite")
-    if np.abs(mat - mat.conj().T).max() > DM_TOL:
+    if np.maximum.reduce(np.abs(mat - mat.conj().T), axis=None) > DM_TOL:
         raise ValueError("density matrix must be Hermitian")
     if abs(mat.trace() - 1.0) > DM_TOL:
         raise ValueError("density matrix must have unit trace")
@@ -183,9 +184,6 @@ def fidelity(rho, gamma: float) -> float:
     return float(np.vdot(target, mat @ target).real)
 
 
-#: The 7 bipartitions of four qubits: every cut is named by its smaller
-#: side, with qubit 0 kept on the named side for the 2|2 cuts.
-BIPARTITIONS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 #: alpha^2 at which the (0,1) and (0,2) cuts give the same c (gamma = pi/12),
 #: and the margin around it inside which both are computed
 _CUT_SWITCH = 2.0 / 3.0
@@ -336,11 +334,14 @@ def fidelity_from_cover(rho, gamma: float, cover: SettingCover | None = None) ->
     Exact for any rho when the cover was made for the same gamma: the
     target's projector expands over precisely its non-zero terms, all of
     which that cover yields.  Raises ValueError when the cover misses a
-    non-zero term of the target, as a cover made for another gamma can.
+    non-zero term of the target, as a cover made for another gamma can,
+    or when ``cover`` is neither a SettingCover nor None.
     """
     g = check_gamma(gamma)
     if cover is None:
         cover = setting_cover(g)
+    elif not isinstance(cover, SettingCover):
+        raise ValueError(f"cover must be a SettingCover or None, got {cover!r}")
     target = correlations(state_at(g).state)
     measured = correlations(rho)
     covered = np.zeros(len(_TERMS), dtype=bool)

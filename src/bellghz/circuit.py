@@ -13,6 +13,7 @@ photon.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -96,14 +97,20 @@ def fifty_fifty_splitter(src: str, out_a: str, out_b: str) -> ModeTransform:
 
 def standard_elements(gamma: float) -> tuple[ModeTransform, ...]:
     """The pipeline's optical elements, in propagation order."""
-    g = check_gamma(gamma)
-    return (
-        half_wave_plate("a", g),
-        polarizing_beam_splitter(),
-        half_wave_plate("c", math.pi / 4),
-        fifty_fifty_splitter("c", "e", "f"),
-        fifty_fifty_splitter("d", "g", "h"),
-    )
+    return (half_wave_plate("a", check_gamma(gamma)), *_FIXED_ELEMENTS)
+
+
+#: The elements after the tunable plate, which no angle changes; their
+#: matrices are read-only, since every pipeline shares them.
+_FIXED_ELEMENTS = (
+    polarizing_beam_splitter(),
+    half_wave_plate("c", math.pi / 4),
+    fifty_fifty_splitter("c", "e", "f"),
+    fifty_fifty_splitter("d", "g", "h"),
+)
+for _element in _FIXED_ELEMENTS:
+    _element.matrix.flags.writeable = False
+del _element
 
 
 def pipeline_transform(gamma: float) -> ModeTransform:
@@ -147,24 +154,31 @@ def to_qubits(state: FockState) -> QubitState4:
     Basis index packs the polarizations in output order, H = 0, V = 1,
     qubit 1 most significant.
     """
-    pos = {m: i for i, m in enumerate(state.register)}
-    h_pos = [pos[Mode(sp, "H")] for sp in OUTPUTS]
-    v_pos = [pos[Mode(sp, "V")] for sp in OUTPUTS]
-    qubit_pos = set(h_pos) | set(v_pos)
+    slots, others = _qubit_slots(tuple(state.register))
     vec = np.zeros(16, dtype=complex)
     for occ, amp in state.amps.items():
-        if any(occ[i] for i in range(len(occ)) if i not in qubit_pos):
+        if any(map(occ.__getitem__, others)):
             raise ValueError("photons outside the output paths")
         idx = 0
-        for k in range(4):
-            nh, nv = occ[h_pos[k]], occ[v_pos[k]]
-            if nh + nv != 1:
+        for k, (h, v) in enumerate(slots):
+            nv = occ[v]
+            if occ[h] + nv != 1:
                 raise ValueError(
                     f"path {OUTPUTS[k]!r} does not hold exactly one photon"
                 )
             idx = (idx << 1) | (1 if nv else 0)
         vec[idx] = amp
     return QubitState4(vec)
+
+
+@cache
+def _qubit_slots(register: tuple[Mode, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The (H, V) register positions of each output path, in qubit order, and
+    every other position of ``register``."""
+    pos = {m: i for i, m in enumerate(register)}
+    slots = tuple((pos[Mode(sp, "H")], pos[Mode(sp, "V")]) for sp in OUTPUTS)
+    qubit_pos = {i for pair in slots for i in pair}
+    return slots, tuple(i for i in range(len(register)) if i not in qubit_pos)
 
 
 def run_pipeline(gamma: float) -> PipelineResult:

@@ -56,7 +56,7 @@ def parse_angle(text: str) -> float:
         raise UsageError(
             f"cannot parse angle {text!r}; give radians or a pi multiple like 0.125pi"
         ) from None
-    from .family import check_gamma
+    from ._checks import check_gamma
 
     try:
         return check_gamma(value)
@@ -127,7 +127,7 @@ def _noise_config(text: str | None) -> NoiseConfig:
             raw = fh.read()
     try:
         return NoiseConfig.from_json(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad noise config: {exc}") from None
 
 
@@ -304,11 +304,16 @@ def _cmd_witness(args) -> str:
 
 def _cmd_tomo(args) -> str:
     g = parse_angle(args.gamma)
-    cfg = _noise_config(args.noise_json)
-    if args.shots is not None and args.shots < 1:
-        raise UsageError(f"shots must be at least 1, got {args.shots}")
+    from ._checks import MAX_SHOTS_PER_SETTING
+
+    if args.shots is not None and not 1 <= args.shots <= MAX_SHOTS_PER_SETTING:
+        raise UsageError(
+            f"shots_per_setting must be at least 1 and at most {MAX_SHOTS_PER_SETTING:g}, "
+            f"got {args.shots}"
+        )
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    cfg = _noise_config(args.noise_json)
     from .analysis import pairwise_witness
     from .tomo import reconstruct_and_report
 
@@ -540,9 +545,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"bellghz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        from numpy.linalg import LinAlgError  # a ValueError, but a numeric failure
-
-        if isinstance(exc, LinAlgError):
+        # numpy's LinAlgError is a ValueError, but a numeric failure; without
+        # numpy loaded, no error can be one
+        linalg = sys.modules.get("numpy.linalg")
+        if linalg is not None and isinstance(exc, linalg.LinAlgError):
             print(f"bellghz: numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         print(f"bellghz: error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -70,12 +71,12 @@ class FockState:
 
     def __post_init__(self) -> None:
         n = len(self.register)
-        for occ in self.amps:
-            if len(occ) != n:
-                raise ValueError(
-                    f"occupation vector of length {len(occ)} does not match "
-                    f"register of {n} modes"
-                )
+        if not set(map(len, self.amps)) <= {n}:
+            occ = next(occ for occ in self.amps if len(occ) != n)
+            raise ValueError(
+                f"occupation vector of length {len(occ)} does not match "
+                f"register of {n} modes"
+            )
 
     @classmethod
     def vacuum(cls, register: Sequence[Mode]) -> "FockState":
@@ -167,6 +168,12 @@ def _position(register: tuple[Mode, ...], m: Mode) -> int:
 
 
 @cache
+def _positions(register: tuple[Mode, ...], modes: tuple[Mode, ...]) -> tuple[int, ...]:
+    """Register index of each of ``modes``; a table of the two mode lists alone."""
+    return tuple(_position(register, m) for m in modes)
+
+
+@cache
 def _compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All ways to distribute n photons over k slots, first slot slowest."""
     if k == 1:
@@ -189,25 +196,42 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     the product of the factors u_l^m / m!.  Those factors depend on the
     column, n and the composition alone, so each is computed once per
     call, the first time a term needs it, and then multiplied into every
-    term in the same order as a term-by-term expansion would.
+    term in the same order as a term-by-term expansion would.  A monomial
+    counts photons only on the rows its term's occupied columns reach.
+
+    Multiplying or dividing by sqrt(0!) = sqrt(1!) = 1! = 1 is skipped,
+    and so is numpy's u ** 1, which returns a nonzero u unchanged.  For
+    finite amplitudes a unit factor can change only the sign of a zero
+    intermediate, never a nonzero bit, and every output amplitude is a
+    sum that starts from +0.0, so the result has the same bits.
     """
-    pos = [_position(state.register, m) for m in t.modes]
+    pos = _positions(tuple(state.register), tuple(t.modes))
+    terms = [(occ, amp, [occ[p] for p in pos]) for occ, amp in state.amps.items()]
+    # the input modes some term occupies, with their nonzero entries (ul stays a
+    # numpy scalar, whose ** can differ from complex's), and the rows they reach:
+    # a monomial counts photons on those rows alone, each at its slot
     u = t.matrix
-    k = len(pos)
-    # nonzero entries per input mode; zero columns never spawn terms
-    cols: list[list[tuple[int, complex]]] = [
-        [(l, u[l, j]) for l in range(k) if abs(u[l, j]) > 1e-16] for j in range(k)
-    ]
-    # (j, n) -> per composition, the (target mode, photons, factor) of each
-    # nonzero part; ul stays a numpy scalar, whose ** can differ from complex's
+    cols = {
+        j: [(l, ul) for l, ul in enumerate(u[:, j]) if abs(ul) > 1e-16]
+        for j in sorted({j for *_, sub in terms for j, n in enumerate(sub) if n})
+    }
+    rows = sorted({l for col in cols.values() for l, _ in col})
+    slot = {l: s for s, l in enumerate(rows)}
+    # an output occupation gathers from occ + (0,) + monomial: a transformed
+    # mode takes its row's slot, or the 0 if no occupied column reaches it
+    width = len(state.register)
+    source = dict.fromkeys(pos, width)
+    source.update((pos[l], width + 1 + s) for l, s in slot.items())
+    gather = _gatherer([source.get(p, p) for p in range(width)])
+    # (j, n) -> per composition, the (slot, photons, factor) of each nonzero part
     expansions: dict[tuple[int, int], list[tuple[tuple[int, int, complex], ...]]] = {}
     out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amps.items():
-        sub = tuple(occ[p] for p in pos)
+    for occ, amp, sub in terms:
         coeff0 = complex(amp)
         for n in sub:
-            coeff0 /= _SQRT_FACT[n]
-        poly: dict[tuple[int, ...], complex] = {(0,) * k: coeff0}
+            if n > 1:
+                coeff0 /= _SQRT_FACT[n]
+        poly: dict[tuple[int, ...], complex] = {(0,) * len(rows): coeff0}
         for j, nj in enumerate(sub):
             if nj == 0:
                 continue
@@ -215,32 +239,39 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
             if steps is None:
                 col = cols[j]
                 steps = expansions[j, nj] = [
-                    tuple((l, nphot, ul ** nphot / _FACT[nphot])
+                    tuple((slot[l], nphot, ul if nphot == 1 else ul ** nphot / _FACT[nphot])
                           for (l, ul), nphot in zip(col, comp) if nphot)
                     for comp in _compositions(nj, len(col))
                 ]
             grown: dict[tuple[int, ...], complex] = {}
             for part, c in poly.items():
-                base = c * _FACT[nj]
+                base = c if nj == 1 else c * _FACT[nj]
                 for factors in steps:
                     cc = base
                     tgt = list(part)
-                    for l, nphot, f in factors:
+                    for s, nphot, f in factors:
                         cc *= f
-                        tgt[l] += nphot
+                        tgt[s] += nphot
                     key = tuple(tgt)
                     grown[key] = grown.get(key, 0.0j) + cc
             poly = grown
+        head = occ + (0,)
         for mono, c in poly.items():
             a = c
             for n in mono:
-                a *= _SQRT_FACT[n]
-            new_occ = list(occ)
-            for p, n in zip(pos, mono):
-                new_occ[p] = n
-            key = tuple(new_occ)
+                if n > 1:
+                    a *= _SQRT_FACT[n]
+            key = gather(head + mono)
             out[key] = out.get(key, 0.0j) + a
     return FockState(state.register, {o: a for o, a in out.items() if abs(a) > PRUNE_EPS})
+
+
+def _gatherer(index: list[int]):
+    """A function from a tuple to the tuple of its items at ``index``."""
+    if len(index) == 1:
+        (i,) = index
+        return lambda items: (items[i],)
+    return itemgetter(*index)
 
 
 def compose(transforms: Iterable[ModeTransform], register: Sequence[Mode]) -> ModeTransform:
@@ -268,20 +299,12 @@ def postselect(
     squared-norm probability.  An empty survivor yields an empty state
     and probability 0.0 rather than a division by zero.
     """
-    groups: dict[str, list[int]] = {}
-    for i, m in enumerate(state.register):
-        groups.setdefault(m.spatial, []).append(i)
-    unknown = set(pattern) - set(groups)
-    if unknown:
-        raise ValueError(f"pattern names spatial paths not in register: {sorted(unknown)}")
-    # each path as an index pair (i, j) with occ[i] + occ[j] its photon total:
-    # its H and V modes, or a lone mode twice against twice the wanted count
-    pairs = []
-    for sp, idxs in groups.items():
-        want = pattern.get(sp, 0)
-        if len(idxs) > 2:
-            raise ValueError(f"spatial path {sp!r} has {len(idxs)} modes; at most H and V")
-        pairs.append((idxs[0], idxs[-1], want if len(idxs) == 2 else 2 * want))
+    try:
+        pairs = _path_pairs(tuple(state.register), tuple(pattern.items()))
+    except TypeError:  # a count the table cannot be keyed on, such as a list
+        raise ValueError(
+            f"pattern must map path labels to photon counts, got {pattern!r}"
+        ) from None
     kept: dict[tuple[int, ...], complex] = {}
     prob = 0.0
     for occ, amp in state.amps.items():
@@ -295,6 +318,29 @@ def postselect(
         return FockState(state.register, {}), 0.0
     s = 1.0 / math.sqrt(prob)
     return FockState(state.register, {o: a * s for o, a in kept.items()}), prob
+
+
+@cache
+def _path_pairs(
+    register: tuple[Mode, ...], pattern: tuple[tuple[str, int], ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """Each spatial path of ``register`` as an index pair (i, j) with occ[i] +
+    occ[j] its photon total, and the total ``pattern`` wants there: its H and V
+    modes, or a lone mode twice against twice the wanted count."""
+    groups: dict[str, list[int]] = {}
+    for i, m in enumerate(register):
+        groups.setdefault(m.spatial, []).append(i)
+    wanted = dict(pattern)
+    unknown = set(wanted) - set(groups)
+    if unknown:
+        raise ValueError(f"pattern names spatial paths not in register: {sorted(unknown)}")
+    pairs = []
+    for sp, idxs in groups.items():
+        want = wanted.get(sp, 0)
+        if len(idxs) > 2:
+            raise ValueError(f"spatial path {sp!r} has {len(idxs)} modes; at most H and V")
+        pairs.append((idxs[0], idxs[-1], want if len(idxs) == 2 else 2 * want))
+    return tuple(pairs)
 
 
 def overlap(s1: FockState, s2: FockState) -> complex:

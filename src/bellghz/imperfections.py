@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -62,10 +64,21 @@ class NoiseConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseConfig":
+        """The configuration a JSON object gives; ValueError for anything
+        else, and for keys that are not fields."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("noise configuration must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown noise configuration keys: {unknown}")
         return cls(**data)
+
+
+def _check_config(cfg) -> None:
+    """ValueError naming cfg unless it is a NoiseConfig."""
+    if not isinstance(cfg, NoiseConfig):
+        raise ValueError(f"cfg must be a NoiseConfig, got {cfg!r}")
 
 
 def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
@@ -77,33 +90,23 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     patterns mark orthogonal environment states, so branches add
     incoherently. A branch is one lost mode pair i <= j.
     """
-    from .circuit import (
-        COINCIDENCE_PATTERN,
-        REGISTER,
-        SPATIALS,
-        pipeline_transform,
-        spdc_term,
-        to_qubits,
-    )
+    from .circuit import COINCIDENCE_PATTERN, REGISTER, pipeline_transform, spdc_term, to_qubits
     from .fock import FockState, apply_transform, postselect
 
-    # the H and V register positions of each spatial path and the photons a
-    # coincidence leaves there
-    paths = [
-        (
-            tuple(i for i, m in enumerate(REGISTER) if m.spatial == sp),
-            COINCIDENCE_PATTERN.get(sp, 0),
-        )
-        for sp in SPATIALS
-    ]
+    paths, wants = _loss_paths()
     out = apply_transform(spdc_term(3), pipeline_transform(gamma))
+    occs = list(out.amps)
+    # photons per path beyond what a coincidence leaves there, one row per term
+    width = len(REGISTER)
+    counts = np.fromiter(chain.from_iterable(occs), int, len(occs) * width).reshape(-1, width)
+    excesses = counts[:, [h for h, _ in paths]] + counts[:, [v for _, v in paths]] - wants
+    lossy = (excesses >= 0).all(axis=1) & (excesses.sum(axis=1) == 2)
     branches: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
-    for occ, amp in out.amps.items():
-        excess = [occ[h] + occ[v] - want for (h, v), want in paths]
-        if min(excess) < 0 or sum(excess) != 2:
-            continue
+    for t in np.flatnonzero(lossy).tolist():
+        occ = occs[t]
+        amp = out.amps[occ]
         # the paths the two lost photons come from; the same path twice if it holds three
-        drain = [idxs for (idxs, _), n in zip(paths, excess) for _ in range(n)]
+        drain = [idxs for idxs, n in zip(paths, excesses[t].tolist()) for _ in range(n)]
         for i in drain[0]:
             for j in drain[1]:
                 if j < i or occ[j] < 1 or occ[i] < 1 + (i == j):
@@ -123,6 +126,16 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
         rho += weight * np.outer(phi, phi.conj())
         total += weight
     return rho, total
+
+
+@cache
+def _loss_paths() -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The (H, V) register positions of each spatial path, and the photons a
+    coincidence leaves in each."""
+    from .circuit import COINCIDENCE_PATTERN, REGISTER, SPATIALS
+
+    paths = [tuple(i for i, m in enumerate(REGISTER) if m.spatial == sp) for sp in SPATIALS]
+    return paths, np.array([COINCIDENCE_PATTERN.get(sp, 0) for sp in SPATIALS])
 
 
 def _emission_orders(g: float, cfg: NoiseConfig):
@@ -149,6 +162,7 @@ def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float
     emission orders.
     """
     g = check_gamma(gamma)
+    _check_config(cfg)
     if cfg.pair_probability == 0.0:
         return 1.0, 0.0
     return _fourfolds(_emission_orders(g, cfg))
@@ -201,6 +215,7 @@ def noisy_density_matrix(gamma: float, cfg: NoiseConfig) -> np.ndarray:
     With the default config this is exactly the ideal projector.
     """
     g = check_gamma(gamma)
+    _check_config(cfg)
     leaks = cfg.pair_probability > 0.0 and cfg.efficiency < 1.0
     return _noisy_state(g, cfg, _emission_orders(g, cfg) if leaks else None)
 
@@ -226,6 +241,7 @@ def noise_report(gamma: float, cfg: NoiseConfig) -> tuple[float, float, np.ndarr
     loss branches computed once instead of twice.
     """
     g = check_gamma(gamma)
+    _check_config(cfg)
     if cfg.pair_probability == 0.0:
         return 1.0, 0.0, _noisy_state(g, cfg, None)
     orders = _emission_orders(g, cfg)

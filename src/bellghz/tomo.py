@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import SETTINGS, WitnessReport, _PAULI_STACK, as_density, evaluate_witness
+from ._checks import MAX_SHOTS_PER_SETTING
 from .family import _nonnegative_int, _real, check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
@@ -79,13 +80,21 @@ _TERM_OF = ((_SETTING_AXES[:, None, :] * _BITS) @ 4**_SLOTS).ravel()
 _HITS = np.bincount(_TERM_OF)
 
 
+#: Count types that are real numbers and never bools, checked by type alone
+_PLAIN_COUNTS = frozenset({int, float, np.float64})
+_INTS, _FLOATS = frozenset({int}), frozenset({float})
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Observed (or idealized) counts of one measurement setting.
 
     ``shots`` is the duration equivalent: the expected total number of
-    events for the setting. Simulated counts are integers; exact
-    frequency records carry the unrounded expectations.
+    events for the setting, stored as a float. Simulated counts are
+    integers; exact frequency records carry the unrounded expectations.
+    Raises ValueError naming the field for an unknown setting, counts
+    that are not 16 finite non-negative real numbers, or shots that are
+    not a finite positive real number.
     """
 
     setting: str
@@ -95,12 +104,32 @@ class CountRecord:
     def __post_init__(self):
         if self.setting not in _SETTING_INDEX:
             raise ValueError(f"unknown setting {self.setting!r}")
-        if len(self.counts) != 16:
+        counts = self.counts
+        try:
+            kinds = set(map(type, counts))
+            n = len(counts)
+        except TypeError:
+            raise ValueError(f"counts must be a sequence of 16 numbers, got {counts!r}") from None
+        if not kinds <= _PLAIN_COUNTS and any(
+            isinstance(c, bool) or not isinstance(c, numbers.Real) for c in counts
+        ):
+            raise ValueError(f"counts must be real numbers, got {counts!r}")
+        if n != 16:
             raise ValueError("need one count per 16 outcomes")
-        if any(not 0 <= c < math.inf for c in self.counts):
+        # one count at a time only where a quicker look leaves doubt
+        if kinds == _INTS:  # ints are finite: only their sign needs a look
+            plain = min(counts) >= 0
+        elif kinds == _FLOATS:  # below infinity, a float sum leaves no NaN or infinity
+            plain = min(counts) >= 0 and sum(counts) < math.inf
+        else:
+            plain = False
+        if not plain and any(not 0 <= c < math.inf for c in counts):
             raise ValueError("counts must be finite and non-negative")
-        if not 0 < self.shots < math.inf:
+        # records are built with float shots; anything else is checked
+        shots = self.shots if type(self.shots) is float else _real("shots", self.shots)
+        if not 0 < shots < math.inf:
             raise ValueError("shots must be finite and positive")
+        object.__setattr__(self, "shots", shots)
 
 
 @dataclass(frozen=True)
@@ -148,12 +177,7 @@ def setting_probabilities(state, setting: str) -> np.ndarray:
         bra = _SETTING_BRAS[setting]
     except KeyError:
         raise ValueError(f"unknown setting {setting!r}") from None
-    probs = np.einsum("ij,jk,ik->i", bra, rho, bra.conj()).real
-    return np.clip(probs, 0.0, None)
-
-
-#: Largest Poisson mean per setting; numpy's sampler refuses means above about 9.2e18.
-MAX_SHOTS_PER_SETTING = 1e18
+    return np.maximum(np.einsum("ij,jk,ik->i", bra, rho, bra.conj()).real, 0.0)
 
 
 def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRecord]:
@@ -178,8 +202,7 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
         rng = np.random.default_rng([seed, i])
         means = shots_per_setting * setting_probabilities(rho, setting)
         counts = rng.poisson(means)
-        records.append(CountRecord(setting, tuple(int(c) for c in counts),
-                                   float(shots_per_setting)))
+        records.append(CountRecord(setting, tuple(counts.tolist()), float(shots_per_setting)))
     return records
 
 
@@ -192,8 +215,9 @@ def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
     if not (real and 0 < shots <= sys.float_info.max):
         raise ValueError(f"shots must be a finite real number above 0, got {shots!r}")
     rho = as_density(state)
+    scale = float(shots)
     return [
-        CountRecord(s, tuple(float(shots) * setting_probabilities(rho, s)), float(shots))
+        CountRecord(s, tuple((scale * setting_probabilities(rho, s)).tolist()), scale)
         for s in SETTINGS
     ]
 
@@ -226,11 +250,13 @@ def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion"
     3^(number of identity slots) settings that measure it. Linear
     inversion is exact on exact frequencies; physical projection
     additionally moves the spectrum to the nearest PSD unit-trace point.
+    Raises ValueError unless ``records`` is an iterable of CountRecord
+    holding each of the 81 settings once.
     """
     if method not in RECONSTRUCTION_METHODS:
         raise ValueError(f"method must be one of {RECONSTRUCTION_METHODS}")
     by_setting: dict[str, CountRecord] = {}
-    for rec in records:
+    for rec in _count_records(records):
         if rec.setting in by_setting:
             raise ValueError(f"duplicate record for setting {rec.setting!r}")
         by_setting[rec.setting] = rec
@@ -253,6 +279,18 @@ def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion"
     if method == "physical-projection":
         mat = _project_to_physical(mat)
     return DensityMatrix(mat)
+
+
+def _count_records(records) -> list[CountRecord]:
+    """``records`` as a list; ValueError unless it is an iterable of CountRecord."""
+    try:
+        records = list(records)
+    except TypeError:
+        raise ValueError(f"records must be an iterable of CountRecord, got {records!r}") from None
+    for rec in records:
+        if not isinstance(rec, CountRecord):
+            raise ValueError(f"records must hold CountRecord instances, got {rec!r}")
+    return records
 
 
 def reconstruct_and_report(
@@ -287,7 +325,12 @@ def reconstruct_and_report(
 
 
 def write_counts(records: Sequence[CountRecord], path) -> None:
-    """CSV dump with header setting,outcome,count; one row per outcome."""
+    """CSV dump with header setting,outcome,count; one row per outcome.
+
+    Raises ValueError, before the file is opened, unless ``records`` is an
+    iterable of CountRecord.
+    """
+    records = _count_records(records)
     with open(Path(path), "w", newline="") as fh:
         lines = ["setting,outcome,count\n"]
         for rec in records:
@@ -312,11 +355,15 @@ def read_counts(path) -> list[CountRecord]:
             if len(row) != 3:
                 raise ValueError(f"malformed row: {row!r}")
             setting, outcome, count = row
-            if setting not in _SETTING_INDEX:
-                raise ValueError(f"unknown setting {setting!r}")
-            if outcome not in _OUTCOME_INDEX:
+            counts = table.get(setting)
+            if counts is None:
+                if setting not in _SETTING_INDEX:
+                    raise ValueError(f"unknown setting {setting!r}")
+                counts = table[setting] = [0.0] * 16
+            slot = _OUTCOME_INDEX.get(outcome)
+            if slot is None:
                 raise ValueError(f"unknown outcome {outcome!r}")
-            table.setdefault(setting, [0.0] * 16)[_OUTCOME_INDEX[outcome]] += float(count)
+            counts[slot] += float(count)
     present = [s for s in SETTINGS if s in table]
     # numpy's pairwise sum per setting; a sequential Python sum would round differently
     totals = np.array([table[s] for s in present]).reshape(-1, 16).sum(axis=1).tolist()

@@ -8,7 +8,6 @@ import pytest
 
 from bellghz.analysis import (
     AXES,
-    BIPARTITIONS,
     CLASS_MEMBERS,
     CorrelationTensor,
     DickeProjection,
@@ -165,6 +164,11 @@ def test_biseparable_bound_range():
     for g in np.linspace(0, math.pi / 4, 41):
         c = biseparable_bound(g)
         assert 0.25 - 1e-12 <= c <= 1.0 + 1e-12
+
+
+#: The 7 bipartitions of four qubits, the oracle's cuts: every cut is named by
+#: its smaller side, with qubit 0 kept on the named side for the 2|2 cuts.
+BIPARTITIONS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 
 
 def per_cut_bound(gamma):
@@ -333,6 +337,12 @@ def test_fidelity_from_cover_matches_direct():
         probe += (1 - probe.trace().real) * np.eye(16) / 16
         direct = fidelity(probe, gamma)
         assert fidelity_from_cover(probe, gamma) == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("cover", ["x", 1, {"xxxx": ("xxxx",)}, ("xxxx",)])
+def test_fidelity_from_cover_rejects_a_cover_that_is_not_a_setting_cover(cover):
+    with pytest.raises(ValueError, match="^cover must be a SettingCover or None"):
+        fidelity_from_cover(MIXED, 0.1, cover)
 
 
 def setting_cover_by_labels(gamma):

@@ -226,3 +226,58 @@ def test_interference_contributions_sum_coherently(gamma):
     assert complex(sum(rep.contributions)) == pytest.approx(rep.total)
     assert abs(rep.total) ** 2 == pytest.approx(rep.probability, abs=1e-10)
     assert rep.probability == pytest.approx(probability(gamma), abs=1e-10)
+
+
+def to_qubits_by_lookup(state):
+    """The ``to_qubits`` that looked up its register positions on every call, kept as its oracle."""
+    pos = {m: i for i, m in enumerate(state.register)}
+    h_pos = [pos[Mode(sp, "H")] for sp in OUTPUTS]
+    v_pos = [pos[Mode(sp, "V")] for sp in OUTPUTS]
+    qubit_pos = set(h_pos) | set(v_pos)
+    vec = np.zeros(16, dtype=complex)
+    for occ, amp in state.amps.items():
+        if any(occ[i] for i in range(len(occ)) if i not in qubit_pos):
+            raise ValueError("photons outside the output paths")
+        idx = 0
+        for k in range(4):
+            nh, nv = occ[h_pos[k]], occ[v_pos[k]]
+            if nh + nv != 1:
+                raise ValueError(f"path {OUTPUTS[k]!r} does not hold exactly one photon")
+            idx = (idx << 1) | (1 if nv else 0)
+        vec[idx] = amp
+    return vec
+
+
+def test_to_qubits_equals_the_lookup_oracle():
+    rng = np.random.default_rng(31)
+    for gamma in [0.0, math.pi / 12, math.pi / 8, math.pi / 4, *rng.uniform(0, math.pi / 4, 20)]:
+        u = pipeline_transform(float(gamma))
+        for order in (2, 3):
+            out = apply_transform(spdc_term(order), u)
+            kept, prob = postselect(out, COINCIDENCE_PATTERN)
+            if prob:
+                assert to_qubits(kept).vec.tobytes() == to_qubits_by_lookup(kept).tobytes()
+            # bunched or stray photons: both raise the same error
+            for state in (out, FockState(REGISTER, dict(list(out.amps.items())[:5]))):
+                with pytest.raises(ValueError) as got:
+                    to_qubits(state)
+                with pytest.raises(ValueError) as want:
+                    to_qubits_by_lookup(state)
+                assert str(got.value) == str(want.value)
+
+
+def test_fixed_elements_are_shared_read_only_and_equal_fresh_ones():
+    fresh = (
+        polarizing_beam_splitter(),
+        half_wave_plate("c", math.pi / 4),
+        fifty_fifty_splitter("c", "e", "f"),
+        fifty_fifty_splitter("d", "g", "h"),
+    )
+    first, second = standard_elements(0.1), standard_elements(0.2)
+    assert all(a is b for a, b in zip(first[1:], second[1:]))
+    for shared, new in zip(first[1:], fresh):
+        assert shared.modes == new.modes
+        assert shared.matrix.tobytes() == new.matrix.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            shared.matrix[0, 0] = 2.0
+    assert first[0].matrix.tobytes() == half_wave_plate("a", 0.1).matrix.tobytes()

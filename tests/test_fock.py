@@ -207,6 +207,8 @@ def test_postselect_unknown_path_rejected():
     st = FockState.vacuum((AH, AV))
     with pytest.raises(ValueError, match="spatial paths"):
         postselect(st, {"q": 1})
+    with pytest.raises(ValueError, match="photon counts"):
+        postselect(st, {"a": [1]})
 
 
 def test_postselect_probabilities_sum_to_one():
@@ -409,3 +411,95 @@ def test_apply_transform_equals_the_term_by_term_oracle_on_random_unitaries():
         transforms = [ModeTransform(reg, u), ModeTransform((BV, AH), haar_unitary(2, rng))]
         for t in transforms:
             assert_same_bits(apply_transform(state, t), apply_transform_by_terms(state, t))
+
+
+def postselect_by_groups(state, pattern):
+    """The ``postselect`` that built its path pairs on every call, kept as its oracle."""
+    groups = {}
+    for i, m in enumerate(state.register):
+        groups.setdefault(m.spatial, []).append(i)
+    unknown = set(pattern) - set(groups)
+    if unknown:
+        raise ValueError(f"pattern names spatial paths not in register: {sorted(unknown)}")
+    pairs = []
+    for sp, idxs in groups.items():
+        want = pattern.get(sp, 0)
+        if len(idxs) > 2:
+            raise ValueError(f"spatial path {sp!r} has {len(idxs)} modes; at most H and V")
+        pairs.append((idxs[0], idxs[-1], want if len(idxs) == 2 else 2 * want))
+    kept = {}
+    prob = 0.0
+    for occ, amp in state.amps.items():
+        for i, j, want in pairs:
+            if occ[i] + occ[j] != want:
+                break
+        else:
+            kept[occ] = amp
+            prob += abs(amp) ** 2
+    if not kept or prob == 0.0:
+        return FockState(state.register, {}), 0.0
+    s = 1.0 / math.sqrt(prob)
+    return FockState(state.register, {o: a * s for o, a in kept.items()}), prob
+
+
+def amp_bytes(state):
+    """Occupations, amplitude types and amplitude bytes in dict order; -0.0 counts."""
+    return [(occ, type(a), np.complex128(a).tobytes()) for occ, a in state.amps.items()]
+
+
+ORACLE_ANGLES = [0.0, math.pi / 12, math.pi / 8, math.pi / 4,
+                 *np.random.default_rng(93).uniform(0.0, math.pi / 4, 16).tolist()]
+
+
+@pytest.mark.parametrize("gamma", ORACLE_ANGLES)
+def test_fock_amplitudes_equal_the_oracles_byte_for_byte(gamma):
+    whole = circuit.pipeline_transform(gamma)
+    for source in (circuit.spdc_term(2), circuit.spdc_term(3), *circuit.source_terms()):
+        assert amp_bytes(apply_transform(source, whole)) == amp_bytes(
+            apply_transform_by_terms(source, whole))
+        state = source
+        for element in circuit.standard_elements(gamma):
+            want = apply_transform_by_terms(state, element)
+            state = apply_transform(state, element)
+            assert amp_bytes(state) == amp_bytes(want)
+        kept, prob = postselect(state, circuit.COINCIDENCE_PATTERN)
+        want, want_prob = postselect_by_groups(state, circuit.COINCIDENCE_PATTERN)
+        assert amp_bytes(kept) == amp_bytes(want)
+        assert prob.hex() == want_prob.hex()
+
+
+def test_apply_transform_equals_the_oracle_on_signed_zero_amplitudes():
+    # a unit factor the expansion skips could only flip the sign of a zero
+    rng = np.random.default_rng(94)
+    reg = (AH, AV, BH, BV)
+    zeros = [(-0.0, None), (None, -0.0), (-0.0, -0.0), (0.0, None)]
+    for trial in range(60):
+        amps = {}
+        for re_im in zeros:
+            re, im = (v if v is not None else rng.standard_normal() for v in re_im)
+            amps[tuple(int(n) for n in rng.integers(0, 4, 4))] = complex(re, im)
+        u = haar_unitary(4, rng) if trial % 2 else np.eye(4, dtype=complex)[rng.permutation(4)]
+        for t in (ModeTransform(reg, u), ModeTransform((BV, AH), haar_unitary(2, rng))):
+            state = FockState(reg, amps)
+            assert amp_bytes(apply_transform(state, t)) == amp_bytes(
+                apply_transform_by_terms(state, t))
+
+
+@pytest.mark.parametrize("reg", [
+    (AH, AV, BH, BV),
+    (AH, BH, BV),
+    (BV, AH, mode("cH"), AV, mode("cV"), BH),
+])
+def test_postselect_equals_the_per_call_pairs_oracle(reg):
+    rng = np.random.default_rng(10 + len(reg))
+    st = apply_transform(
+        FockState(reg, {(1,) * len(reg): 1.0}),
+        ModeTransform(reg, haar_unitary(len(reg), rng)),
+    )
+    spatials = sorted({m.spatial for m in reg})
+    for counts in itertools.product(range(3), repeat=len(spatials)):
+        pattern = dict(zip(spatials, counts))
+        kept, prob = postselect(st, pattern)
+        want, want_prob = postselect_by_groups(st, pattern)
+        assert prob.hex() == want_prob.hex()
+        assert amp_bytes(kept) == amp_bytes(want)

@@ -5,7 +5,8 @@ import random
 
 import numpy as np
 import pytest
-from test_fock import postselect_by_sums
+from test_circuit import to_qubits_by_lookup
+from test_fock import postselect_by_groups, postselect_by_sums
 
 from bellghz import circuit, imperfections
 from bellghz.analysis import fidelity
@@ -76,7 +77,7 @@ def test_config_json_round_trip():
     with pytest.raises(ValueError, match="real number"):
         NoiseConfig.from_json('{"efficiency": true}')
     assert NoiseConfig.from_json('{"efficiency": 1}').efficiency == 1
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="detector_count"):
         NoiseConfig.from_json('{"detector_count": 8}')
 
 
@@ -317,3 +318,66 @@ def test_noise_outputs_equal_the_generator_sum_oracles(monkeypatch):
     monkeypatch.setattr(imperfections, "_third_order_branches", third_order_branches_by_sums)
     monkeypatch.setattr(circuit, "postselect", postselect_by_sums)
     assert noise_bytes(configs) == indexed
+
+
+def third_order_branches_by_path_list(gamma):
+    """The ``_third_order_branches`` that built its path list on every call, kept as its oracle."""
+    paths = [
+        (tuple(i for i, m in enumerate(REGISTER) if m.spatial == sp),
+         COINCIDENCE_PATTERN.get(sp, 0))
+        for sp in SPATIALS
+    ]
+    out = apply_transform(spdc_term(3), pipeline_transform(gamma))
+    branches = {}
+    for occ, amp in out.amps.items():
+        excess = [occ[h] + occ[v] - want for (h, v), want in paths]
+        if min(excess) < 0 or sum(excess) != 2:
+            continue
+        drain = [idxs for (idxs, _), n in zip(paths, excess) for _ in range(n)]
+        for i in drain[0]:
+            for j in drain[1]:
+                if j < i or occ[j] < 1 or occ[i] < 1 + (i == j):
+                    continue
+                factor = math.sqrt(occ[i] * (occ[i] - 1) / 2.0 if i == j else occ[i] * occ[j])
+                lost = list(occ)
+                lost[i] -= 1
+                lost[j] -= 1
+                branches.setdefault((i, j), {})[tuple(lost)] = amp * factor
+    rho = np.zeros((16, 16), dtype=complex)
+    total = 0.0
+    for pair in sorted(branches):
+        kept, weight = postselect_by_groups(
+            FockState(REGISTER, branches[pair]), COINCIDENCE_PATTERN)
+        if weight == 0.0:
+            continue
+        phi = to_qubits_by_lookup(kept)
+        rho += weight * np.outer(phi, phi.conj())
+        total += weight
+    return rho, total
+
+
+def test_third_order_branches_equal_the_path_list_oracle_byte_for_byte():
+    rng = np.random.default_rng(21)
+    for gamma in [0.0, math.pi / 12, math.pi / 8, math.pi / 4, *rng.uniform(0, math.pi / 4, 30)]:
+        rho, total = _third_order_branches(float(gamma))
+        want_rho, want_total = third_order_branches_by_path_list(float(gamma))
+        assert total.hex() == want_total.hex()
+        assert rho.tobytes() == want_rho.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: higher_order_fourfolds(0.1, None),
+    lambda: noisy_density_matrix(0.1, {}),
+    lambda: noise_report(0.1, None),
+    lambda: noise_report(0.1, {"pair_probability": 0.05}),
+])
+def test_noise_functions_reject_a_config_that_is_not_a_noise_config(call):
+    with pytest.raises(ValueError, match="cfg must be a NoiseConfig"):
+        call()
+
+
+def test_from_json_rejects_unknown_keys_with_a_value_error():
+    with pytest.raises(ValueError, match=r"unknown noise configuration keys: \['foo'\]"):
+        NoiseConfig.from_json('{"foo": 1}')
+    with pytest.raises(ValueError, match="'bar', 'foo'"):
+        NoiseConfig.from_json('{"foo": 1, "efficiency": 0.5, "bar": 2}')

@@ -102,3 +102,27 @@ print(json.dumps([bellghz.__all__, listed, sorted(star), missing]))
     assert star == sorted(names)
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         bellghz.nope  # noqa: B018
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--gamma", "0.1", "--frobnicate"],  # a bad flag
+    ["witness", "--gamma", "abc"],  # an angle that does not parse
+    ["witness", "--gamma", "0.3pi"],  # an angle outside [0, pi/4]
+    ["tomo", "--gamma", "0", "--seed", "-1"],
+    ["tomo", "--gamma", "0", "--shots", "2e18"],  # not an integer literal
+    ["tomo", "--gamma", "0", "--shots", str(2 * 10**18)],  # above MAX_SHOTS_PER_SETTING
+    ["sweep", "--steps", "1"],
+])
+def test_usage_errors_exit_2_without_loading_numpy(argv):
+    assert "numpy" not in loaded_by(argv, exit_code=2)
+
+
+def test_numpy_free_checks_are_the_ones_family_exports():
+    modules = fresh_python(
+        "import json, sys, bellghz._checks; print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in modules
+    from bellghz import _checks, family, tomo
+
+    for name in ("GAMMA_MIN", "GAMMA_MAX", "_real", "_nonnegative_int", "check_gamma"):
+        assert getattr(family, name) is getattr(_checks, name)
+    assert tomo.MAX_SHOTS_PER_SETTING is _checks.MAX_SHOTS_PER_SETTING

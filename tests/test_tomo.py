@@ -506,3 +506,57 @@ def test_reconstruct_and_report_sampled():
     front, back = pairwise_witness(dm)
     assert front == pytest.approx(-0.5, abs=0.01)
     assert back == pytest.approx(-0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("counts, shots, field", [
+    ((1,) * 16, True, "shots"),
+    ((1,) * 16, "10", "shots"),
+    ((1,) * 16, None, "shots"),
+    ((1,) * 16, 1j, "shots"),
+    (("1",) * 16, 10.0, "counts"),
+    ((1j,) * 16, 10.0, "counts"),
+    ((None,) * 16, 10.0, "counts"),
+    ((True,) * 16, 10.0, "counts"),
+    (None, 10.0, "counts"),
+    ("1" * 16, 10.0, "counts"),
+    (7, 10.0, "counts"),
+])
+def test_count_record_rejects_mistyped_fields_naming_them(counts, shots, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CountRecord("zzzz", counts, shots)
+
+
+def test_count_record_stores_shots_as_a_float():
+    for shots in (10, np.int64(10), np.float64(10.0), 10.0):
+        record = CountRecord("zzzz", (1,) * 16, shots)
+        assert type(record.shots) is float and record.shots == 10.0
+    assert CountRecord("zzzz", (1,) * 16, 10) == CountRecord("zzzz", (1,) * 16, 10.0)
+    assert CountRecord("zzzz", tuple(np.arange(16.0)), 10.0).counts[3] == 3.0
+
+
+@pytest.mark.parametrize("records", ["abc", [1, 2], None, 7, [None]])
+def test_reconstruct_rejects_records_that_are_not_count_records(records):
+    with pytest.raises(ValueError, match="^records must"):
+        reconstruct(records)
+
+
+def test_write_counts_rejects_records_before_opening_the_file(tmp_path):
+    path = tmp_path / "counts.csv"
+    for records in ([1], "abc", None):
+        with pytest.raises(ValueError, match="^records must"):
+            write_counts(records, path)
+    assert not path.exists()
+    records = exact_frequency_records(state_at(0.1).state)
+    write_counts(iter(records), path)  # any iterable of records
+    from_iterator = path.read_text()
+    write_counts(records, path)
+    assert path.read_text() == from_iterator
+
+
+def test_simulated_counts_are_python_ints_and_equal_the_per_count_conversion():
+    rho = noisy_density_matrix(0.3, NoiseConfig(depolarizing_q=0.05))
+    for record in simulate_counts(rho, 1000, seed=5):
+        assert {type(c) for c in record.counts} == {int}
+        rng = np.random.default_rng([5, SETTINGS.index(record.setting)])
+        drawn = rng.poisson(1000.0 * np.clip(setting_probabilities(rho, record.setting), 0.0, None))
+        assert record.counts == tuple(int(c) for c in drawn)
