@@ -39,10 +39,32 @@ _TERMS = tuple("".join(t) for t in itertools.product(AXES, repeat=4))
 _TERM_INDEX = {t: i for i, t in enumerate(_TERMS)}
 
 # 1 where a setting letter (row: x, y, z) yields a term axis (column: 0, x, y, z)
-_LETTER_YIELDS = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+_LETTER_YIELDS = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
 # 1 where setting s yields term t, every slot yielding; the first slot is the
 # most significant digit of both indices, as in np.kron
 _YIELDS = np.kron(np.kron(_LETTER_YIELDS, _LETTER_YIELDS), np.kron(_LETTER_YIELDS, _LETTER_YIELDS))
+
+
+def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Where each correlation term reads rho, and with which phase.
+
+    sigma_t has one non-zero entry per column r, in row r ^ flip, where
+    flip has a bit set at each x or y slot of t.  Entry [r, t] of the
+    first table is the flat index of rho[r, r ^ flip], and of the second
+    the entry of sigma_t that multiplies it.  Rows and terms run first
+    slot most significant, as in np.kron.
+    """
+    flips = np.array([0, 1, 1, 0])  # per axis of AXES
+    bits = np.arange(2)[:, None]
+    # the entry of each Pauli matrix in column `bit`, per bit and axis
+    slot = _PAULI_STACK[np.arange(4), bits ^ flips, bits]
+    phases = np.kron(np.kron(slot, slot), np.kron(slot, slot))
+    term_flips = np.add.outer(np.add.outer(8 * flips, 4 * flips), np.add.outer(2 * flips, flips))
+    rows = np.arange(16)[:, None]
+    return 16 * rows + (rows ^ term_flips.ravel()), phases
+
+
+_GATHER, _PHASES = _pauli_gather()
 
 DM_TOL = 1e-9
 #: 3-tangle magnitudes below this count as zero (W class).
@@ -110,19 +132,17 @@ class CorrelationTensor:
 
 
 def correlations(state) -> CorrelationTensor:
-    """Full Pauli correlation tensor of a normalized state or density matrix."""
-    rho = as_density(state).reshape((2,) * 8)
-    t = np.einsum(
-        "abcdefgh,iea,jfb,kgc,lhd->ijkl",
-        rho,
-        _PAULI_STACK,
-        _PAULI_STACK,
-        _PAULI_STACK,
-        _PAULI_STACK,
-    )
+    """Full Pauli correlation tensor of a normalized state or density matrix.
+
+    Entry t is Tr(rho sigma_t), the Pauli-sum definition term by term:
+    the 16 non-zero products rho[r, r ^ flip] sigma_t[r ^ flip, r], added
+    one after another in row order starting from +0.
+    """
+    rho = as_density(state)
+    t = np.add.reduce(rho.ravel()[_GATHER] * _PHASES, axis=0, initial=0.0)
     if np.abs(t.imag).max() > 1e-12:
         raise ValueError("correlations of a Hermitian input must be real")
-    return CorrelationTensor(t.real)
+    return CorrelationTensor(t.real.reshape(4, 4, 4, 4))
 
 
 def _orbit(pattern: str) -> frozenset[str]:
@@ -307,14 +327,15 @@ def setting_cover(gamma: float) -> SettingCover:
     """
     g = check_gamma(gamma)
     nonzero = correlations(state_at(g).state)._nonzero()
-    uncovered = nonzero.astype(int)
+    uncovered = nonzero.astype(float)
     chosen: list[int] = []
     while uncovered.any():
-        # an integer score (a bool matmul is a logical OR); argmax keeps the
-        # first maximum, and SETTINGS is lexicographic
+        # a count of uncovered terms, exact in float64 and scored by BLAS (a bool
+        # matmul is a logical OR); argmax keeps the first maximum, and SETTINGS
+        # is lexicographic
         best = int(np.argmax(_YIELDS @ uncovered))
         chosen.append(best)
-        uncovered *= 1 - _YIELDS[best]
+        uncovered *= 1.0 - _YIELDS[best]
         if len(chosen) > MAX_COVER_SETTINGS:
             raise RuntimeError(
                 f"cover needs more than {MAX_COVER_SETTINGS} settings at gamma={g!r}"

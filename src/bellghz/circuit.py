@@ -176,7 +176,10 @@ def _qubit_slots(register: tuple[Mode, ...]) -> tuple[tuple[tuple[int, int], ...
     """The (H, V) register positions of each output path, in qubit order, and
     every other position of ``register``."""
     pos = {m: i for i, m in enumerate(register)}
-    slots = tuple((pos[Mode(sp, "H")], pos[Mode(sp, "V")]) for sp in OUTPUTS)
+    try:
+        slots = tuple((pos[Mode(sp, "H")], pos[Mode(sp, "V")]) for sp in OUTPUTS)
+    except KeyError as exc:
+        raise ValueError(f"register lacks the output mode {exc.args[0]!r}") from None
     qubit_pos = {i for pair in slots for i in pair}
     return slots, tuple(i for i in range(len(register)) if i not in qubit_pos)
 

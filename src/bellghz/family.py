@@ -53,14 +53,19 @@ def alpha(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class QubitState4:
-    """Pure four-qubit state as 16 amplitudes in the computational basis."""
+    """Pure four-qubit state as 16 amplitudes in the computational basis.
+
+    Raises ValueError naming ``vec`` unless it holds 16 finite amplitudes.
+    """
 
     vec: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.shape != (16,):
-            raise ValueError(f"need 16 amplitudes, got shape {np.shape(self.vec)}")
+            raise ValueError(f"vec needs 16 amplitudes, got shape {np.shape(self.vec)}")
+        if not np.logical_and.reduce(np.isfinite(v), axis=None):
+            raise ValueError("vec must hold finite amplitudes")
         object.__setattr__(self, "vec", v)
 
     def norm_sq(self) -> float:
@@ -358,7 +363,16 @@ def find_crossings() -> list[CrossingPoint]:
     minima of |difference| and are refined by bisecting on the sign of
     the slope instead.  Roots of the same class pair closer than
     ``_CROSSING_DEDUPE`` are merged.
+
+    The search takes no input, so it runs once per process; each call
+    returns a new list of the same points.
     """
+    return list(_crossing_table())
+
+
+@cache
+def _crossing_table() -> tuple[CrossingPoint, ...]:
+    """The sorted crossings of :func:`find_crossings`, computed once."""
     grid = np.arange(_CROSSING_STEP, GAMMA_MAX, _CROSSING_STEP)
     points = grid.tolist()
     moduli = _grid_moduli(grid)
@@ -394,4 +408,4 @@ def find_crossings() -> list[CrossingPoint]:
             pair = (CLASS_NAMES[i], CLASS_NAMES[j])
             found.extend(CrossingPoint(r, pair) for r in merged)
     found.sort(key=lambda c: (c.gamma, c.classes))
-    return found
+    return tuple(found)

@@ -185,9 +185,11 @@ def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.n
     With visibility V the output is V |psi><psi| + (1-V) rho_dist, where
     rho_dist propagates each emission term separately and sums outcome
     probabilities instead of amplitudes. Where terms feed disjoint
-    outcomes (gamma = 0 or pi/4) the populations are untouched.
+    outcomes (gamma = 0 or pi/4) the populations are untouched.  Raises
+    ValueError unless ``cfg`` is a NoiseConfig.
     """
     g = check_gamma(gamma)
+    _check_config(cfg)
     v = cfg.visibility
     ideal = state.density()
     if v == 1.0:

@@ -171,8 +171,15 @@ class DensityMatrix:
 
 
 def setting_probabilities(state, setting: str) -> np.ndarray:
-    """Born-rule outcome probabilities of one setting, in outcome order."""
-    rho = as_density(state)
+    """Born-rule outcome probabilities of one setting, in outcome order.
+
+    A DensityMatrix was checked when it was made; its matrix is used as it
+    is while it is still read-only.
+    """
+    if isinstance(state, DensityMatrix) and not state.matrix.flags.writeable:
+        rho = state.matrix
+    else:
+        rho = as_density(state)
     try:
         bra = _SETTING_BRAS[setting]
     except KeyError:
@@ -196,7 +203,7 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
             f"{MAX_SHOTS_PER_SETTING:g}, got {shots_per_setting!r}"
         )
     seed = _nonnegative_int("seed", seed)
-    rho = as_density(state)
+    rho = DensityMatrix(as_density(state))
     records = []
     for i, setting in enumerate(SETTINGS):
         rng = np.random.default_rng([seed, i])
@@ -214,7 +221,7 @@ def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
     real = isinstance(shots, numbers.Real) and not isinstance(shots, bool)
     if not (real and 0 < shots <= sys.float_info.max):
         raise ValueError(f"shots must be a finite real number above 0, got {shots!r}")
-    rho = as_density(state)
+    rho = DensityMatrix(as_density(state))
     scale = float(shots)
     return [
         CountRecord(s, tuple((scale * setting_probabilities(rho, s)).tolist()), scale)
@@ -266,13 +273,14 @@ def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion"
             f"missing {len(missing)} of 81 settings (first: {missing[0]!r})"
         )
 
-    expectations = np.empty((len(SETTINGS), 16))
-    for i, setting in enumerate(SETTINGS):
-        counts = np.asarray(by_setting[setting].counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError(f"setting {setting!r} has all-zero counts")
-        expectations[i] = _SUBSET_SIGNS @ (counts / total)
+    counts = np.array([by_setting[s].counts for s in SETTINGS], dtype=float)
+    # numpy's pairwise sum along each row, as read_counts takes its totals
+    totals = counts.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise ValueError(f"setting {SETTINGS[empty[0]]!r} has all-zero counts")
+    # one matrix-vector product per setting: a batched matmul rounds differently
+    expectations = np.array([_SUBSET_SIGNS @ f for f in counts / totals[:, None]])
     # bincount adds in input order, so each term sums its settings in SETTINGS order
     tensor = np.bincount(_TERM_OF, weights=expectations.ravel()) / _HITS
     mat = np.einsum("t,tij->ij", tensor, _SIGMA) / 16.0

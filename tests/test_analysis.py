@@ -66,6 +66,28 @@ def test_correlations_match_kron_oracle():
         assert tensor["".join(labels)] == pytest.approx(expect, abs=1e-12)
 
 
+def correlations_by_einsum(state):
+    """The 5-operand einsum that ``correlations`` replaced, kept as its oracle."""
+    stack = np.stack([PAULI[a] for a in AXES])
+    rho = as_density(state).reshape((2,) * 8)
+    return np.einsum("abcdefgh,iea,jfb,kgc,lhd->ijkl", rho, stack, stack, stack, stack).real
+
+
+def test_correlations_equal_the_einsum_oracle_byte_for_byte():
+    rng = np.random.default_rng(1212)
+    states = []
+    for _ in range(100):  # random mixed states
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        m = a @ a.conj().T
+        states.append(m / m.trace())
+    gammas = [0.0, math.pi / 12, math.pi / 8, math.pi / 4, *rng.uniform(0, math.pi / 4, 100)]
+    states += [state_at(g).state for g in gammas]  # pure family states
+    for g, q in zip(rng.uniform(0, math.pi / 4, 100), rng.uniform(0, 0.2, 100)):
+        states.append((1 - q) * state_at(g).state.density() + q * MIXED)  # noisy states
+    for st in states:
+        assert correlations(st).values.tobytes() == correlations_by_einsum(st).tobytes()
+
+
 def test_correlations_ghz_values():
     tensor = correlations(state_at(math.pi / 8).state)
     assert tensor["0000"] == pytest.approx(1.0)
@@ -368,6 +390,32 @@ def fidelity_from_cover_by_labels(rho, gamma, cover):
     measured = correlations(rho)
     terms = set().union(*cover.covered_terms.values())
     return sum(target[t] * measured[t] for t in sorted(terms)) / 16.0
+
+
+def setting_cover_by_integer_scores(gamma):
+    """The integer-matmul greedy that ``setting_cover`` replaced, kept as its oracle."""
+    letter = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+    yields = np.kron(np.kron(letter, letter), np.kron(letter, letter))
+    terms = ["".join(t) for t in itertools.product(AXES, repeat=4)]
+    settings = ["".join(s) for s in itertools.product("xyz", repeat=4)]
+    nonzero = correlations(state_at(gamma).state)._nonzero()
+    uncovered = nonzero.astype(int)
+    chosen = []
+    while uncovered.any():
+        best = int(np.argmax(yields @ uncovered))
+        chosen.append(best)
+        uncovered *= 1 - yields[best]
+    return SettingCover(
+        tuple(settings[s] for s in chosen),
+        {settings[s]: tuple(terms[t] for t in np.flatnonzero(yields[s] * nonzero))
+         for s in chosen},
+    )
+
+
+def test_setting_cover_equals_the_integer_score_oracle():
+    rng = np.random.default_rng(22)
+    for g in [e.gamma for e in catalog()] + rng.uniform(0, math.pi / 4, 300).tolist():
+        assert setting_cover(g) == setting_cover_by_integer_scores(g), g
 
 
 def test_setting_cover_and_its_fidelity_equal_the_label_oracles():

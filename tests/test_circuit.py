@@ -200,6 +200,12 @@ def test_to_qubits_rejects_bunched_patterns():
         to_qubits(st)
 
 
+def test_to_qubits_rejects_a_register_without_the_output_paths():
+    a_h, a_v = Mode("a", "H"), Mode("a", "V")
+    with pytest.raises(ValueError, match="register lacks the output mode"):
+        to_qubits(FockState((a_h, a_v), {(1, 0): 1.0}))
+
+
 def test_interference_terms_bell_point():
     rep = interference_terms(0.0)
     assert isinstance(rep, InterferenceReport)

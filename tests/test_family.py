@@ -158,6 +158,24 @@ def test_qubit_state_shape_checked():
         QubitState4(np.zeros(8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                 complex(math.inf, 0.0)])
+def test_qubit_state_rejects_non_finite_amplitudes_naming_vec(bad):
+    vec = [0.25] * 16
+    vec[5] = bad
+    with pytest.raises(ValueError, match="^vec must hold finite amplitudes"):
+        QubitState4(vec)
+    with pytest.raises(ValueError, match="^vec must hold finite amplitudes"):
+        QubitState4([bad] * 16)
+
+
+def test_qubit_state_keeps_the_bits_of_valid_vectors():
+    rng = np.random.default_rng(4)
+    for vec in (rng.normal(size=16) + 1j * rng.normal(size=16), np.zeros(16), [1e308] * 16):
+        want = np.asarray(vec, dtype=complex).reshape(-1)
+        assert QubitState4(vec).vec.tobytes() == want.tobytes()
+
+
 def test_canonical_phase_removes_global_phase():
     st = state_at(0.1).state
     rotated = QubitState4(st.vec * np.exp(0.7j))
@@ -338,7 +356,13 @@ def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
         return root
 
     monkeypatch.setattr(family, "_brentq", compared)
-    find_crossings()
+    # the crossing table is computed once per process: search again under the patch,
+    # and leave no table found by the patched root finder behind
+    family._crossing_table.cache_clear()
+    try:
+        find_crossings()
+    finally:
+        family._crossing_table.cache_clear()
     for _, g, a, branch in family._CATALOG_ROWS:
         if g is None:
             gamma_for_alpha(a, branch)

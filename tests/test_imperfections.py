@@ -370,6 +370,7 @@ def test_third_order_branches_equal_the_path_list_oracle_byte_for_byte():
     lambda: noisy_density_matrix(0.1, {}),
     lambda: noise_report(0.1, None),
     lambda: noise_report(0.1, {"pair_probability": 0.05}),
+    lambda: visibility_noise(state_at(0.1).state, 0.1, None),
 ])
 def test_noise_functions_reject_a_config_that_is_not_a_noise_config(call):
     with pytest.raises(ValueError, match="cfg must be a NoiseConfig"):

@@ -435,6 +435,37 @@ def test_density_matrix_owns_a_frozen_copy():
     assert not dm.matrix.flags.writeable
 
 
+def test_setting_probabilities_of_a_density_matrix_equal_those_of_its_array():
+    rng = np.random.default_rng(8)
+    for g, q in zip(rng.uniform(0, math.pi / 4, 10), rng.uniform(0, 0.1, 10)):
+        rho = noisy_density_matrix(g, NoiseConfig(depolarizing_q=q))
+        dm = DensityMatrix(rho)
+        for s in SETTINGS:
+            assert setting_probabilities(dm, s).tobytes() == setting_probabilities(rho, s).tobytes()
+
+
+def test_setting_probabilities_recheck_a_matrix_made_writeable_again():
+    dm = DensityMatrix(np.eye(16, dtype=complex) / 16)
+    dm.matrix.flags.writeable = True
+    dm.matrix[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        setting_probabilities(dm, "zzzz")
+
+
+def test_campaigns_are_equal_from_a_state_its_array_and_a_density_matrix():
+    for g in (0.0, math.pi / 8, 0.3):
+        st = state_at(g).state
+        forms = (st, st.density(), DensityMatrix(st.density()))
+        sampled = [simulate_counts(f, 1000.0, 5) for f in forms]
+        exact = [
+            [(r.setting, np.array(r.counts).tobytes(), r.shots.hex())
+             for r in exact_frequency_records(f, 100.0)]
+            for f in forms
+        ]
+        assert sampled[0] == sampled[1] == sampled[2]
+        assert exact[0] == exact[1] == exact[2]
+
+
 def test_random_count_tables_reconstruct_or_raise():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
