@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import QubitState4, _nonnegative_int, check_gamma
-from .fock import FockState, Mode, ModeTransform, apply_transform, compose, postselect
+from .fock import FockState, Mode, ModeTransform, apply_transform, postselect
 
 SPATIALS = "abcdefgh"
 
@@ -100,22 +100,32 @@ def standard_elements(gamma: float) -> tuple[ModeTransform, ...]:
     return (half_wave_plate("a", check_gamma(gamma)), *_FIXED_ELEMENTS)
 
 
-#: The elements after the tunable plate, which no angle changes; their
-#: matrices are read-only, since every pipeline shares them.
+#: The elements after the tunable plate, which no angle changes, and their
+#: 16-mode embeddings; all matrices are read-only, since every pipeline
+#: shares them.
 _FIXED_ELEMENTS = (
     polarizing_beam_splitter(),
     half_wave_plate("c", math.pi / 4),
     fifty_fifty_splitter("c", "e", "f"),
     fifty_fifty_splitter("d", "g", "h"),
 )
-for _element in _FIXED_ELEMENTS:
-    _element.matrix.flags.writeable = False
-del _element
+_FIXED_EMBEDDED = tuple(element.embedded(REGISTER) for element in _FIXED_ELEMENTS)
+for _matrix in (*(e.matrix for e in _FIXED_ELEMENTS), *_FIXED_EMBEDDED):
+    _matrix.flags.writeable = False
+del _matrix
 
 
 def pipeline_transform(gamma: float) -> ModeTransform:
-    """All elements composed into a single 16-mode unitary."""
-    return compose(standard_elements(gamma), REGISTER)
+    """All elements composed into a single 16-mode unitary.
+
+    The products of :func:`bellghz.fock.compose` over
+    :func:`standard_elements`, in the same order, with only the tunable
+    plate embedded per call.
+    """
+    total = np.eye(len(REGISTER), dtype=complex)
+    for matrix in (half_wave_plate("a", check_gamma(gamma)).embedded(REGISTER), *_FIXED_EMBEDDED):
+        total = matrix @ total
+    return ModeTransform(REGISTER, total)
 
 
 def spdc_term(order: int) -> FockState:

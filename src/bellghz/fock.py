@@ -13,16 +13,17 @@ Linear elements act by substitution on creation operators,
 
 followed by re-expansion into occupation vectors with the sqrt(n!)
 bookkeeping restored.  At four to eight photons in at most sixteen
-modes the expansion stays tiny, so exact dictionary arithmetic is both
-faster and more transparent than a truncated matrix representation of
-each element.
+modes the expansion stays tiny, so exact substitution, planned once per
+occupation pattern and run in float arrays, is both faster and more
+transparent than a truncated matrix representation of each element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
+from itertools import compress, zip_longest
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,6 +36,10 @@ PRUNE_EPS = 1e-14
 
 #: A transform matrix U must satisfy ||U^dag U - 1||_max <= this bound.
 UNITARITY_TOL = 1e-12
+
+#: Substitution plans :func:`apply_transform` keeps, least recently used out
+#: first; the pipeline and its noise model use nine.
+PLAN_CACHE_SIZE = 32
 
 _FACT = [math.factorial(n) for n in range(25)]
 _SQRT_FACT = [math.sqrt(f) for f in _FACT]
@@ -193,77 +198,202 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
 
     Substituting (a_j^dag)^n gives one monomial per composition of n
     over the nonzero entries u_l of column j, with coefficient n! times
-    the product of the factors u_l^m / m!.  Those factors depend on the
-    column, n and the composition alone, so each is computed once per
-    call, the first time a term needs it, and then multiplied into every
-    term in the same order as a term-by-term expansion would.  A monomial
-    counts photons only on the rows its term's occupied columns reach.
+    the product of the factors u_l^m / m!.  Which products are formed,
+    and which monomial each is added to, depends on the state's
+    occupations, the transformed positions and the zero pattern of
+    ``t.matrix`` alone, so :func:`_plan` works it out once per pattern.
+    A call computes the factors as numpy scalars and runs the plan in
+    float64 arrays: each complex product as its four real products, each
+    rounded on its own as in numpy's scalar product (numpy's complex
+    array ``*`` fuses them), and each sum as a ``bincount`` in the order
+    of a term-by-term expansion, starting from +0.0.
 
-    Multiplying or dividing by sqrt(0!) = sqrt(1!) = 1! = 1 is skipped,
-    and so is numpy's u ** 1, which returns a nonzero u unchanged.  For
-    finite amplitudes a unit factor can change only the sign of a zero
-    intermediate, never a nonzero bit, and every output amplitude is a
-    sum that starts from +0.0, so the result has the same bits.
+    Padding with factors of 1 or 1+0j, and multiplying or dividing by
+    sqrt(0!) = sqrt(1!) = 1! = 1, can change only the sign of a zero
+    intermediate of finite amplitudes, never a nonzero bit, and every
+    output amplitude is such a sum, so the result has the bits of the
+    term-by-term expansion, each a ``numpy.complex128``.  A term with no
+    photon in ``t.modes`` is passed on as the Python ``complex`` 0j + amp.
     """
     pos = _positions(tuple(state.register), tuple(t.modes))
-    terms = [(occ, amp, [occ[p] for p in pos]) for occ, amp in state.amps.items()]
-    # the input modes some term occupies, with their nonzero entries (ul stays a
-    # numpy scalar, whose ** can differ from complex's), and the rows they reach:
-    # a monomial counts photons on those rows alone, each at its slot
+    if not state.amps:
+        return FockState(state.register, {})
     u = t.matrix
+    plan = _plan(tuple(state.amps), pos, (np.hypot(u.real, u.imag) > 1e-16).tobytes())
+    # each factor from a numpy scalar, whose ** can differ from complex's, and
+    # a last 1+0j for padding; as rows (re, -im, im), picked for every cut
+    f = np.ones(len(plan.cells) + 1, dtype=complex)
+    u.take(plan.cells, out=f[:-1])
+    for i, m in plan.powers:
+        f[i] = f[i] ** m / _FACT[m]
+    picked = np.array((f.real, -f.imag, f.imag)).take(plan.picks, axis=1)
+    # (2, n): real parts, then imaginary parts, of the terms the transform touches
+    x = np.fromiter(state.amps.values(), complex, len(state.amps)).view(float).reshape(-1, 2).T
+    if plan.touched is not None:
+        x = x.take(plan.touched, axis=1)
+    for d in plan.divisors:
+        x = x / d
+    for scale, src, cuts, bins in plan.levels:
+        if scale is not None:
+            x = x * scale
+        if src is not None:
+            x = x.take(src, axis=1)
+        for cut in cuts:
+            # (re, im) * (fr + i fi) = (re, im) * fr + (im, re) * (-fi, fi)
+            x = x * picked[0, cut] + x[::-1] * picked[1:, cut]
+        if bins is not None:
+            x = np.bincount(bins, x.ravel()).reshape(-1, 2).T
+    for s in plan.scales:
+        x = x * s
+    z = np.bincount(plan.bins, x.ravel(), 2 * len(plan.keys)).view(complex)
+    keep = (np.hypot(z.real, z.imag) > PRUNE_EPS).tolist()  # libm's, as abs() of a scalar
+    amps = list(z)
+    terms = list(state.amps.values())
+    for i, term in plan.plain:
+        amps[i] = 0j + complex(terms[term])
+        keep[i] = abs(amps[i]) > PRUNE_EPS
+    return FockState(state.register, dict(zip(compress(plan.keys, keep), compress(amps, keep))))
+
+
+class _Plan(NamedTuple):
+    """What :func:`apply_transform` forms from which operands, in which order.
+
+    ``cells`` is the flat matrix index of each factor and ``powers`` the
+    (factor, m) of those raised to m > 1 and divided by m!; ``picks`` indexes
+    the factors, or with -1 the 1+0j after them, in every cut of every level.
+    ``touched`` lists the terms with a transformed photon (None: all), and
+    ``divisors`` and ``scales`` hold per step the sqrt(n!) each of them is
+    divided by and each final monomial multiplied by, padded with 1.
+    Each of ``levels`` is one substitution round, (scale, src, cuts, bins):
+    each entry times ``scale``, read by the product rows at ``src``, each
+    row times the factor picked at each of ``cuts``, and the rows added into
+    the next entries by ``bins``; None where it is 1 or one row per entry.
+    ``bins`` adds the final monomials into the outputs ``keys``; ``plain``
+    pairs the output and the input term of each other term.  A ``bincount``
+    bin 2i holds a real part and 2i+1 an imaginary one.
+    """
+
+    cells: np.ndarray
+    powers: tuple[tuple[int, int], ...]
+    picks: np.ndarray
+    touched: np.ndarray | None
+    divisors: np.ndarray
+    levels: tuple[tuple[np.ndarray | None, np.ndarray | None, tuple[slice, ...],
+                        np.ndarray | None], ...]
+    scales: np.ndarray
+    bins: np.ndarray
+    keys: tuple[tuple[int, ...], ...]
+    plain: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: bytes) -> _Plan:
+    """The plan for states with the occupations ``occs``, transformed on the
+    register positions ``pos`` by a matrix with nonzero entries where the
+    k*k row-major booleans ``nonzero`` say: structure only, never an angle
+    or an amplitude.  It walks the term-by-term expansion, one substitution
+    round of every term at a time, and records in place of each multiply
+    and add the operands it takes."""
+    k = len(pos)
+    reach = np.frombuffer(nonzero, dtype=bool).reshape(k, k)
+    subs = [[occ[p] for p in pos] for occ in occs]
+    # the input modes some term occupies, with the rows their nonzero entries
+    # reach: a monomial counts photons on those rows alone, each at its slot
     cols = {
-        j: [(l, ul) for l, ul in enumerate(u[:, j]) if abs(ul) > 1e-16]
-        for j in sorted({j for *_, sub in terms for j, n in enumerate(sub) if n})
+        j: np.flatnonzero(reach[:, j]).tolist()
+        for j in sorted({j for sub in subs for j, n in enumerate(sub) if n})
     }
-    rows = sorted({l for col in cols.values() for l, _ in col})
+    rows = sorted({l for col in cols.values() for l in col})
     slot = {l: s for s, l in enumerate(rows)}
     # an output occupation gathers from occ + (0,) + monomial: a transformed
     # mode takes its row's slot, or the 0 if no occupied column reaches it
-    width = len(state.register)
+    width = len(occs[0])
     source = dict.fromkeys(pos, width)
     source.update((pos[l], width + 1 + s) for l, s in slot.items())
     gather = _gatherer([source.get(p, p) for p in range(width)])
-    # (j, n) -> per composition, the (slot, photons, factor) of each nonzero part
-    expansions: dict[tuple[int, int], list[tuple[tuple[int, int, complex], ...]]] = {}
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp, sub in terms:
-        coeff0 = complex(amp)
-        for n in sub:
-            if n > 1:
-                coeff0 /= _SQRT_FACT[n]
-        poly: dict[tuple[int, ...], complex] = {(0,) * len(rows): coeff0}
-        for j, nj in enumerate(sub):
-            if nj == 0:
-                continue
-            steps = expansions.get((j, nj))
-            if steps is None:
-                col = cols[j]
-                steps = expansions[j, nj] = [
-                    tuple((slot[l], nphot, ul if nphot == 1 else ul ** nphot / _FACT[nphot])
-                          for (l, ul), nphot in zip(col, comp) if nphot)
-                    for comp in _compositions(nj, len(col))
-                ]
-            grown: dict[tuple[int, ...], complex] = {}
-            for part, c in poly.items():
-                base = c if nj == 1 else c * _FACT[nj]
-                for factors in steps:
-                    cc = base
-                    tgt = list(part)
-                    for s, nphot, f in factors:
-                        cc *= f
-                        tgt[s] += nphot
-                    key = tuple(tgt)
-                    grown[key] = grown.get(key, 0.0j) + cc
-            poly = grown
-        head = occ + (0,)
-        for mono, c in poly.items():
-            a = c
-            for n in mono:
-                if n > 1:
-                    a *= _SQRT_FACT[n]
-            key = gather(head + mono)
-            out[key] = out.get(key, 0.0j) + a
-    return FockState(state.register, {o: a for o, a in out.items() if abs(a) > PRUNE_EPS})
+    factors: dict[tuple[int, int, int], int] = {}  # (l, j, m) -> its index
+    # (j, n) -> per composition, the (slot, photons) it adds and its factors
+    expansions: dict[tuple[int, int], list[tuple[list[tuple[int, int]], list[int]]]] = {}
+    # per term, the occupied columns it substitutes in turn; per term with
+    # any, its monomials so far, each with its entry's index within the term
+    rounds = [[(j, n) for j, n in enumerate(sub) if n] for sub in subs]
+    touched = [i for i, r in enumerate(rounds) if r]
+    polys = [{(0,) * len(rows): 0} for _ in touched]
+    levels, picks = [], []
+    for r in range(max((len(rounds[i]) for i in touched), default=0)):
+        scale, src, factor_lists, dst = [], [], [], []
+        start = end = 0
+        for t, i in enumerate(touched):
+            poly = polys[t]
+            if r < len(rounds[i]):
+                j, nj = rounds[i][r]
+                steps = expansions.get((j, nj))
+                if steps is None:
+                    steps = expansions[j, nj] = [
+                        ([(slot[l], m) for l, m in zip(cols[j], comp) if m],
+                         [factors.setdefault((l, j, m), len(factors))
+                          for l, m in zip(cols[j], comp) if m])
+                        for comp in _compositions(nj, len(cols[j]))
+                    ]
+                grown: dict[tuple[int, ...], int] = {}
+                for part, e in poly.items():
+                    for moves, fs in steps:
+                        tgt = list(part)
+                        for s, m in moves:
+                            tgt[s] += m
+                        src.append(start + e)
+                        factor_lists.append(fs)
+                        dst.append(end + grown.setdefault(tuple(tgt), len(grown)))
+            else:  # a term with fewer rounds carries its entries over unchanged
+                nj, grown = 1, poly
+                src += range(start, start + len(poly))
+                factor_lists += [[]] * len(poly)
+                dst += range(end, end + len(poly))
+            scale += [float(_FACT[nj])] * len(poly)
+            start, end, polys[t] = start + len(poly), end + len(grown), grown
+        cuts = []
+        for cut in _padded(factor_lists, -1):
+            cuts.append(slice(len(picks), len(picks) + len(cut)))
+            picks += cut.tolist()
+        levels.append((
+            None if set(scale) == {1.0} else np.array(scale),
+            None if src == list(range(start)) else np.array(src),
+            tuple(cuts),
+            None if dst == list(range(end)) else _interleaved(dst),
+        ))
+    # the outputs in the order the terms reach them; an untouched term keeps
+    # its occupation, which no touched term can reach
+    keys: dict[tuple[int, ...], int] = {}
+    outs, plain = [], []
+    touched_polys = iter(polys)
+    for i, occ in enumerate(occs):
+        if rounds[i]:
+            outs += [keys.setdefault(gather(occ + (0,) + mono), len(keys))
+                     for mono in next(touched_polys)]
+        else:
+            plain.append((keys.setdefault(occ, len(keys)), i))
+    return _Plan(
+        np.array([l * k + j for l, j, _ in factors], dtype=np.intp),
+        tuple((i, m) for i, (_, _, m) in enumerate(factors) if m > 1),
+        np.array(picks, dtype=np.intp),
+        None if len(touched) == len(occs) else np.array(touched, dtype=np.intp),
+        _padded([[_SQRT_FACT[n] for n in subs[i] if n > 1] for i in touched], 1.0),
+        tuple(levels),
+        _padded([[_SQRT_FACT[n] for n in mono if n > 1] for poly in polys for mono in poly], 1.0),
+        _interleaved(outs),
+        tuple(keys),
+        tuple(plain),
+    )
+
+
+def _padded(lists: list[list], fill) -> np.ndarray:
+    """``lists`` as the columns of an array, the short ones padded with ``fill``."""
+    return np.array(list(zip_longest(*lists, fillvalue=fill)))
+
+
+def _interleaved(bins: list[int]) -> np.ndarray:
+    """``bincount`` bins for (2, n) values: bin 2b for a real part, 2b+1 for an imaginary one."""
+    return np.array([2 * b for b in bins] + [2 * b + 1 for b in bins], dtype=np.intp)
 
 
 def _gatherer(index: list[int]):

@@ -186,8 +186,10 @@ def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.n
     rho_dist propagates each emission term separately and sums outcome
     probabilities instead of amplitudes. Where terms feed disjoint
     outcomes (gamma = 0 or pi/4) the populations are untouched.  Raises
-    ValueError unless ``cfg`` is a NoiseConfig.
+    ValueError unless ``state`` is a QubitState4 and ``cfg`` a NoiseConfig.
     """
+    if not isinstance(state, QubitState4):
+        raise ValueError(f"state must be a QubitState4, got {state!r}")
     g = check_gamma(gamma)
     _check_config(cfg)
     v = cfg.visibility

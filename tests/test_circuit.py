@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellghz.circuit import (
+    _FIXED_EMBEDDED,
     COINCIDENCE_PATTERN,
     OUTPUTS,
     REGISTER,
@@ -21,7 +22,7 @@ from bellghz.circuit import (
     to_qubits,
 )
 from bellghz.family import alpha, probability, state_at
-from bellghz.fock import FockState, Mode, apply_transform, postselect
+from bellghz.fock import FockState, Mode, apply_transform, compose, postselect
 
 SQRT3 = math.sqrt(3.0)
 
@@ -180,6 +181,19 @@ def test_pipeline_transform_equals_sequential():
     keys = set(seq.amps) | set(once.amps)
     for k in keys:
         assert seq.amps.get(k, 0j) == pytest.approx(once.amps.get(k, 0j), abs=1e-10)
+
+
+def test_pipeline_transform_equals_compose_byte_for_byte():
+    # the fixed elements are embedded once; the products and their order are compose's
+    angles = [0.0, math.pi / 12, math.pi / 8, math.pi / 4,
+              *np.random.default_rng(95).uniform(0.0, math.pi / 4, 300).tolist()]
+    for g in angles:
+        want = compose(standard_elements(g), REGISTER).matrix
+        assert pipeline_transform(g).matrix.tobytes() == want.tobytes()
+    for matrix in _FIXED_EMBEDDED:
+        assert not matrix.flags.writeable
+    with pytest.raises(ValueError, match="pi/4"):
+        pipeline_transform(0.3 * math.pi)
 
 
 def test_run_pipeline_validates_gamma():

@@ -8,11 +8,13 @@ import pytest
 
 from bellghz import circuit
 from bellghz.fock import (
+    PLAN_CACHE_SIZE,
     PRUNE_EPS,
     FockState,
     Mode,
     ModeTransform,
     apply_transform,
+    _plan,
     _position,
     compose,
     mode,
@@ -503,3 +505,87 @@ def test_postselect_equals_the_per_call_pairs_oracle(reg):
         want, want_prob = postselect_by_groups(st, pattern)
         assert prob.hex() == want_prob.hex()
         assert amp_bytes(kept) == amp_bytes(want)
+
+
+def pipeline_calls(gamma):
+    """(state, transform) of each Fock substitution a noise evaluation makes at ``gamma``."""
+    whole = circuit.pipeline_transform(gamma)
+    calls = [(source, whole) for source in (circuit.spdc_term(3), *circuit.source_terms())]
+    state = circuit.spdc_term(2)
+    for element in circuit.standard_elements(gamma):
+        calls.append((state, element))
+        state = apply_transform(state, element)
+    return calls
+
+
+def test_a_cold_and_a_reused_plan_give_the_oracle_bytes():
+    # 0, pi/8 and pi/4 zero other entries of U or prune other keys than 0.3 does
+    for gamma in (0.3, 0.0, math.pi / 8, math.pi / 4):
+        calls = pipeline_calls(gamma)
+        wants = [amp_bytes(apply_transform_by_terms(s, t)) for s, t in calls]
+        _plan.cache_clear()
+        assert [amp_bytes(apply_transform(s, t)) for s, t in calls] == wants
+        cold = _plan.cache_info()
+        assert cold.misses == cold.currsize == len(calls)
+        assert [amp_bytes(apply_transform(s, t)) for s, t in calls] == wants
+        assert _plan.cache_info().misses == cold.misses
+
+
+def test_special_angles_build_plans_of_their_own():
+    _plan.cache_clear()
+    for s, t in pipeline_calls(0.3):
+        apply_transform(s, t)
+    for gamma in (0.0, math.pi / 8, math.pi / 4):
+        misses = _plan.cache_info().misses
+        for s, t in pipeline_calls(gamma):
+            apply_transform(s, t)
+        assert _plan.cache_info().misses > misses
+
+
+def test_plans_carry_twenty_photons_over_sixteen_modes():
+    rng = np.random.default_rng(96)
+    reg = circuit.REGISTER
+    # 22 photons in one mode (22! is beyond int64), and 20 over all sixteen
+    amps = {(22,) + (0,) * 15: complex(*rng.standard_normal(2)),
+            (3, 2, 2) + (1,) * 13: complex(*rng.standard_normal(2)),
+            (0, 1, 4, 0, 2, 3) + (1,) * 10: complex(*rng.standard_normal(2))}
+    state = FockState(reg, amps)
+    assert [sum(occ) for occ in amps] == [22, 20, 20]
+    sparse = np.zeros((16, 16), dtype=complex)
+    sparse[:2, :2], sparse[2:4, 2:4] = haar_unitary(2, rng), haar_unitary(2, rng)
+    sparse[4:, 4:] = np.eye(12)[rng.permutation(12)]
+    for t in (ModeTransform(reg, sparse), ModeTransform(reg[:4], haar_unitary(4, rng)),
+              ModeTransform((reg[5], reg[0], reg[9]), haar_unitary(3, rng))):
+        assert amp_bytes(apply_transform(state, t)) == amp_bytes(apply_transform_by_terms(state, t))
+
+
+def test_terms_without_a_transformed_photon_keep_python_complex():
+    reg = (AH, AV, BH, BV)
+    state = FockState(reg, {(1, 0, 1, 0): 0.6, (0, 2, 0, 0): 0.8j, (0, 0, 0, 3): -0.0 + 0.5j})
+    t = ModeTransform((AH, AV), haar_unitary(2, np.random.default_rng(97)))
+    out = apply_transform(state, t)
+    assert amp_bytes(out) == amp_bytes(apply_transform_by_terms(state, t))
+    assert {type(a) for occ, a in out.amps.items() if occ[:2] != (0, 0)} == {np.complex128}
+    assert type(out.amps[(0, 0, 0, 3)]) is complex
+    # passed on as 0j + amp, as the term-by-term loop did, finite or not
+    state = FockState(reg, {(1, 0, 0, 0): 0.6, (0, 0, 2, 0): complex(math.inf, 0.5)})
+    assert apply_transform(state, t).amps[(0, 0, 2, 0)] == complex(math.inf, 0.5)
+    # no term touched at all, and no term at all
+    bystander = ModeTransform((BH, BV), np.eye(2))
+    out = apply_transform(FockState(reg, {(1, 0, 0, 0): 0.6}), bystander)
+    assert amp_bytes(out) == [((1, 0, 0, 0), complex, np.complex128(0.6).tobytes())]
+    assert apply_transform(FockState(reg, {}), bystander).amps == {}
+
+
+def test_more_patterns_than_the_plan_cache_holds():
+    rng = np.random.default_rng(98)
+    reg = (AH, AV, BH, BV)
+    t = ModeTransform(reg, haar_unitary(4, rng))
+    patterns = itertools.islice(itertools.product(range(3), repeat=4), 1, PLAN_CACHE_SIZE + 9)
+    states = [FockState(reg, {occ: 1.0, (1, 0, 2, 0): 0.5j}) for occ in patterns]
+    _plan.cache_clear()
+    for state in states + states[:4]:  # the first ones again, after their plans went
+        assert amp_bytes(apply_transform(state, t)) == amp_bytes(apply_transform_by_terms(state, t))
+    info = _plan.cache_info()
+    assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
+    assert info.misses == len(states) + 4

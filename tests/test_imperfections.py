@@ -377,6 +377,12 @@ def test_noise_functions_reject_a_config_that_is_not_a_noise_config(call):
         call()
 
 
+@pytest.mark.parametrize("state", ["x", None, np.eye(16)[0], state_at(0.1).state.density()])
+def test_visibility_noise_rejects_a_state_that_is_not_a_qubit_state(state):
+    with pytest.raises(ValueError, match="state must be a QubitState4"):
+        visibility_noise(state, 0.1, NoiseConfig(visibility=0.9))
+
+
 def test_from_json_rejects_unknown_keys_with_a_value_error():
     with pytest.raises(ValueError, match=r"unknown noise configuration keys: \['foo'\]"):
         NoiseConfig.from_json('{"foo": 1}')

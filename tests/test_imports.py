@@ -126,3 +126,19 @@ def test_numpy_free_checks_are_the_ones_family_exports():
     for name in ("GAMMA_MIN", "GAMMA_MAX", "_real", "_nonnegative_int", "check_gamma"):
         assert getattr(family, name) is getattr(_checks, name)
     assert tomo.MAX_SHOTS_PER_SETTING is _checks.MAX_SHOTS_PER_SETTING
+
+
+def test_noise_report_loads_no_masked_arrays():
+    # the Fock kernel's plans are built from dicts and lists; numpy.ma alone
+    # costs about 0.5 MB
+    code = """\
+import json, sys
+from bellghz import imperfections
+cfg = imperfections.NoiseConfig(pair_probability=0.05, efficiency=0.3, visibility=0.9,
+                                depolarizing_q=0.02)
+imperfections.noise_report(0.3, cfg)
+print(json.dumps(sorted(sys.modules)))
+"""
+    modules = fresh_python(code)
+    assert {"bellghz.fock", "bellghz.circuit"} <= set(modules)
+    assert "numpy.ma" not in modules
