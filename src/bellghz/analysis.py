@@ -38,11 +38,20 @@ SETTINGS = tuple("".join(s) for s in itertools.product(SETTING_AXES, repeat=4))
 _TERMS = tuple("".join(t) for t in itertools.product(AXES, repeat=4))
 _TERM_INDEX = {t: i for i, t in enumerate(_TERMS)}
 
-# 1 where a setting letter (row: x, y, z) yields a term axis (column: 0, x, y, z)
-_LETTER_YIELDS = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
-# 1 where setting s yields term t, every slot yielding; the first slot is the
-# most significant digit of both indices, as in np.kron
-_YIELDS = np.kron(np.kron(_LETTER_YIELDS, _LETTER_YIELDS), np.kron(_LETTER_YIELDS, _LETTER_YIELDS))
+
+def _setting_terms() -> np.ndarray:
+    """The term each setting measures on each subset of its slots.
+
+    Entry [s, mask] is the term with setting s's axis on the slots in
+    mask and the identity elsewhere; the first slot is the most
+    significant digit of s, mask and the term, so each row ascends.
+    """
+    digit = np.arange(1, 4)[:, None] * np.arange(2)  # AXES index of letter x, y, z off/on
+    terms = np.add.outer(np.add.outer(64 * digit, 16 * digit), np.add.outer(4 * digit, digit))
+    return terms.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(len(SETTINGS), 16)
+
+
+_SETTING_TERMS = _setting_terms()
 
 
 def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
@@ -75,12 +84,18 @@ def as_density(state) -> np.ndarray:
     """Coerce a state, 16x16 array, or ``.matrix`` carrier to a density matrix.
 
     Raises ValueError unless the result is finite and Hermitian with unit
-    trace to within DM_TOL.
+    trace to within DM_TOL, or when ``state`` is none of the three.
     """
     if isinstance(state, QubitState4):
         mat = state.density()
     else:
-        mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
+        try:
+            mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                "state must be a QubitState4 or a 16x16 matrix of numbers, "
+                f"got {type(state).__name__}"
+            ) from None
     if mat.shape != (16, 16):
         raise ValueError("density matrix must be 16x16")
     # the ufuncs' own reductions: .all() and .max() would each add a Python call
@@ -143,6 +158,19 @@ def correlations(state) -> CorrelationTensor:
     if np.abs(t.imag).max() > 1e-12:
         raise ValueError("correlations of a Hermitian input must be real")
     return CorrelationTensor(t.real.reshape(4, 4, 4, 4))
+
+
+def _density_from_terms(t: np.ndarray) -> np.ndarray:
+    """The matrix sum_t T_t sigma_t / 16 of 256 real terms, inverting correlations.
+
+    Each T_t times the phase of sigma_t lands on the entry that
+    :func:`correlations` reads for term t; bincount adds the real and the
+    imaginary parts per entry in term order, starting from +0.0.
+    """
+    real, imag = (np.bincount(_GATHER.ravel(), weights=(t * phases).ravel())
+                  for phases in (_PHASES.real, _PHASES.imag))
+    # in C order: a matmul or einsum on the result rounds by its memory order
+    return np.ascontiguousarray((real + 1j * imag).reshape(16, 16).T) / 16.0
 
 
 def _orbit(pattern: str) -> frozenset[str]:
@@ -220,8 +248,13 @@ def biseparable_bounds(gammas) -> list[float]:
     (1 - alpha^2)/2) and (0,2) gives (|alpha|/2 + sqrt((1 - alpha^2)/2))^2,
     both at least 1/2; (0,3) is (0,2) again, since the state is symmetric
     under swapping qubits 3 and 4.  :func:`_bounds_at_alphas` says which
-    cut is computed at which angle.
+    cut is computed at which angle.  Raises ValueError unless ``gammas``
+    is an iterable of angles in range.
     """
+    try:
+        gammas = iter(gammas)
+    except TypeError:
+        raise ValueError(f"gammas must be an iterable of angles, got {gammas!r}") from None
     return _bounds_at_alphas([alpha(g) for g in gammas])
 
 
@@ -327,15 +360,13 @@ def setting_cover(gamma: float) -> SettingCover:
     """
     g = check_gamma(gamma)
     nonzero = correlations(state_at(g).state)._nonzero()
-    uncovered = nonzero.astype(float)
+    uncovered = nonzero.copy()
     chosen: list[int] = []
     while uncovered.any():
-        # a count of uncovered terms, exact in float64 and scored by BLAS (a bool
-        # matmul is a logical OR); argmax keeps the first maximum, and SETTINGS
-        # is lexicographic
-        best = int(np.argmax(_YIELDS @ uncovered))
+        # argmax keeps the first maximum, and SETTINGS is lexicographic
+        best = int(np.argmax(uncovered[_SETTING_TERMS].sum(axis=1)))
         chosen.append(best)
-        uncovered *= 1.0 - _YIELDS[best]
+        uncovered[_SETTING_TERMS[best]] = False
         if len(chosen) > MAX_COVER_SETTINGS:
             raise RuntimeError(
                 f"cover needs more than {MAX_COVER_SETTINGS} settings at gamma={g!r}"
@@ -343,7 +374,7 @@ def setting_cover(gamma: float) -> SettingCover:
     return SettingCover(
         settings=tuple(SETTINGS[s] for s in chosen),
         covered_terms={
-            SETTINGS[s]: tuple(_TERMS[t] for t in np.flatnonzero(_YIELDS[s] * nonzero))
+            SETTINGS[s]: tuple(_TERMS[t] for t in _SETTING_TERMS[s].tolist() if nonzero[t])
             for s in chosen
         },
     )
@@ -460,9 +491,10 @@ def dicke_projection(basis: str, outcome: str) -> DickeProjection:
     """
     try:
         probe = _PROJECTION_VECTORS[(basis, outcome)]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable basis or outcome
         raise ValueError(
-            "basis must be 'HV' (outcomes 'H','V') or 'PM' (outcomes '+','-')"
+            "basis must be 'HV' (outcome 'H' or 'V') or 'PM' (outcome '+' or '-'), "
+            f"got basis={basis!r}, outcome={outcome!r}"
         ) from None
     vec = state_at(math.pi / 12).state.vec.reshape(8, 2)
     residue = vec @ probe.conj()

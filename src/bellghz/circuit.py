@@ -210,20 +210,6 @@ def run_pipeline(gamma: float) -> PipelineResult:
     return PipelineResult(to_qubits(kept).canonical(), prob)
 
 
-class InterferenceReport(NamedTuple):
-    """Coherent split of the post-selected amplitude over source terms.
-
-    ``contributions[i]`` is the projection of source term i's propagated,
-    coincidence-filtered component onto the final state; the three sum
-    to ``total`` with |total|^2 = probability.
-    """
-
-    gamma: float
-    contributions: tuple[complex, complex, complex]
-    total: complex
-    probability: float
-
-
 def source_terms() -> list[FockState]:
     """The three operator monomials of the double-pair emission, with
     their physical weights (norms 1/sqrt(3) each)."""
@@ -243,20 +229,3 @@ def source_term_coincidences(gamma: float) -> list[tuple[float, np.ndarray]]:
     u = pipeline_transform(check_gamma(gamma))
     selected = [postselect(apply_transform(t, u), COINCIDENCE_PATTERN) for t in source_terms()]
     return [(p, to_qubits(kept).vec if p else np.zeros(16, dtype=complex)) for kept, p in selected]
-
-
-def interference_terms(gamma: float) -> InterferenceReport:
-    """How each emission term feeds the coincidence outcome.
-
-    The double-V and double-H pair terms cannot produce a coincidence at
-    gamma = 0 (all four photons exit one splitter pair), while at
-    gamma = pi/8 the mixed term is suppressed by interference; this
-    report makes both mechanisms visible.
-    """
-    g = check_gamma(gamma)
-    final, prob = run_pipeline(g)
-    contribs = tuple(
-        complex(np.vdot(final.vec, math.sqrt(p_term) * vec)) if p_term else 0.0j
-        for p_term, vec in source_term_coincidences(g)
-    )
-    return InterferenceReport(g, contribs, complex(sum(contribs)), prob)

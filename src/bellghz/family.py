@@ -198,7 +198,7 @@ def gamma_for_alpha(target: float, branch: str = "first") -> float:
     ``first`` covers gamma in [0, pi/8] where alpha runs 1 -> 0;
     ``second`` covers [pi/8, pi/4] where alpha runs 0 -> -sqrt(1/3).
     """
-    if branch not in _BRANCHES:
+    if not isinstance(branch, str) or branch not in _BRANCHES:
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     lo, hi, amin, amax = _BRANCHES[branch]
     t = _real("target", target)

@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import SETTINGS, WitnessReport, _PAULI_STACK, as_density, evaluate_witness
+from .analysis import (
+    SETTINGS, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density, evaluate_witness,
+)
 from ._checks import MAX_SHOTS_PER_SETTING
 from .family import _nonnegative_int, _real, check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
@@ -42,14 +44,10 @@ _BRAS = {
     "z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
 }
 
-# slot k of a setting (base 3), an outcome or a subset mask (base 2) is digit 3 - k;
-# the AXES index of each setting's letters, and the bits of each outcome or mask
-_SLOTS = np.arange(3, -1, -1)
-_SETTING_AXES = 1 + np.arange(len(SETTINGS))[:, None] // 3**_SLOTS % 3
-_BITS = np.arange(16)[:, None] >> _SLOTS & 1
-
-# product over the slots in subset mask of the sign (+1 for +, -1 for -) of outcome o
-_SUBSET_SIGNS = np.where(_BITS[:, None, :], 1 - 2 * _BITS, 1).prod(axis=2).astype(float)
+# entry [mask, o]: the product over the slots in subset mask of the sign (+1 for +,
+# -1 for -) of outcome o; the first slot is the most significant bit of both
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_SUBSET_SIGNS = np.kron(np.kron(_SIGNS, _SIGNS), np.kron(_SIGNS, _SIGNS))
 
 
 def _kron_stack(stacks) -> np.ndarray:
@@ -70,14 +68,8 @@ def _kron_stack(stacks) -> np.ndarray:
 
 
 _SETTING_BRAS = dict(zip(SETTINGS, _kron_stack([np.stack([_BRAS[a] for a in "xyz"])] * 4)))
-
-# the 256 four-qubit Pauli products, term t = 64 a + 16 b + 4 c + d over AXES;
-# adding 0.0 turns the -0.0 that products of Pauli entries can give into +0.0
-_SIGMA = _kron_stack([_PAULI_STACK] * 4) + 0.0
-# term each (setting, subset mask) measures, setting-major: the setting's axis on
-# the mask's slots and the identity elsewhere; and how often each term is measured
-_TERM_OF = ((_SETTING_AXES[:, None, :] * _BITS) @ 4**_SLOTS).ravel()
-_HITS = np.bincount(_TERM_OF)
+# how many (setting, subset mask) pairs measure each term
+_HITS = np.bincount(_SETTING_TERMS.ravel())
 
 
 #: Count types that are real numbers and never bools, checked by type alone
@@ -282,8 +274,8 @@ def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion"
     # one matrix-vector product per setting: a batched matmul rounds differently
     expectations = np.array([_SUBSET_SIGNS @ f for f in counts / totals[:, None]])
     # bincount adds in input order, so each term sums its settings in SETTINGS order
-    tensor = np.bincount(_TERM_OF, weights=expectations.ravel()) / _HITS
-    mat = np.einsum("t,tij->ij", tensor, _SIGMA) / 16.0
+    tensor = np.bincount(_SETTING_TERMS.ravel(), weights=expectations.ravel()) / _HITS
+    mat = _density_from_terms(tensor)
     if method == "physical-projection":
         mat = _project_to_physical(mat)
     return DensityMatrix(mat)

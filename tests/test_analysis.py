@@ -28,6 +28,7 @@ from bellghz.analysis import (
     setting_cover,
     three_tangle,
 )
+import bellghz
 from bellghz import cli
 from bellghz.family import (
     CLASS_NAMES,
@@ -529,6 +530,39 @@ def test_dicke_projection_pm_gives_ghz_class():
         assert res.label == "GHZ"
         assert res.probability == pytest.approx(0.5)
         assert res.tangle == pytest.approx(1 / 3, abs=1e-12)
+
+
+STATE_TAKERS = {
+    "correlations": bellghz.correlations,
+    "fidelity": lambda state: bellghz.fidelity(state, 0.1),
+    "evaluate_witness": lambda state: bellghz.evaluate_witness(state, 0.1),
+    "pairwise_witness": bellghz.pairwise_witness,
+    "fidelity_from_cover": lambda state: bellghz.fidelity_from_cover(state, 0.1),
+    "exact_frequency_records": bellghz.exact_frequency_records,
+    "simulate_counts": lambda state: bellghz.simulate_counts(state, 100, 1),
+}
+# public calls on input that numpy or a dict lookup cannot read (it raises
+# TypeError or OverflowError), and the parameter each ValueError must name
+UNREADABLE_INPUTS = [
+    *((f"{name}-{kind}", take, bad, "state")
+      for name, take in STATE_TAKERS.items()
+      for kind, bad in (("object", object()), ("huge-int", 10**400))),
+    *((f"biseparable_bounds-{bad!r}", bellghz.biseparable_bounds, bad, "gammas")
+      for bad in (None, 1j, math.nan)),
+    ("gamma_for_alpha-branch", lambda b: bellghz.gamma_for_alpha(0.5, branch=b),
+     np.array([0.1]), "branch"),
+    ("dicke_projection-basis", lambda b: bellghz.dicke_projection(basis=b, outcome="H"),
+     np.array(["HV"]), "basis"),
+    ("dicke_projection-outcome", lambda o: bellghz.dicke_projection(basis="HV", outcome=o),
+     ["H"], "outcome"),
+]
+
+
+@pytest.mark.parametrize("call, bad, parameter", [case[1:] for case in UNREADABLE_INPUTS],
+                         ids=[case[0] for case in UNREADABLE_INPUTS])
+def test_public_functions_reject_unreadable_inputs_naming_the_parameter(call, bad, parameter):
+    with pytest.raises(ValueError, match=parameter):
+        call(bad)
 
 
 def test_dicke_projection_rejects_unknown_basis():

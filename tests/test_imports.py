@@ -23,10 +23,10 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def fresh_python(code, *args):
+def fresh_python(code, *args, env=ENV):
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=ENV, timeout=60, check=True,
+        capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     return json.loads(proc.stdout)
 
@@ -142,3 +142,25 @@ print(json.dumps(sorted(sys.modules)))
     modules = fresh_python(code)
     assert {"bellghz.fock", "bellghz.circuit"} <= set(modules)
     assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("bytecode", ["not written", "cached"])
+def test_tomo_import_retains_under_one_and_a_half_mib(bytecode, tmp_path):
+    # numpy's own import is not counted; the Pauli and setting tables live once,
+    # in analysis, so tomo adds no 256-matrix stack
+    code = """\
+import json, tracemalloc
+import numpy
+tracemalloc.start()
+import bellghz.tomo
+print(json.dumps(tracemalloc.get_traced_memory()[0]))
+"""
+    env = dict(ENV)
+    if bytecode == "not written":
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    else:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+        fresh_python("import bellghz.tomo; print(0)", env=env)
+        assert any(tmp_path.rglob("tomo.*.pyc"))
+    assert fresh_python(code, env=env) < 1.5 * 2**20

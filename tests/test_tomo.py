@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bellghz import tomo
-from bellghz.analysis import AXES, PAULI, biseparable_bound, fidelity, pairwise_witness
+from bellghz import analysis, tomo
+from bellghz.analysis import (
+    AXES, PAULI, biseparable_bound, correlations, fidelity, pairwise_witness,
+)
 from bellghz.family import state_at
 from bellghz.imperfections import NoiseConfig, noisy_density_matrix
 from bellghz.tomo import (
@@ -38,7 +40,26 @@ def test_setting_enumeration():
     assert OUTCOMES[-1] == "----"
 
 
-def test_setting_and_pauli_tables_equal_the_kron_and_einsum_constructions():
+def terms_from_reconstruct(rng, n, monkeypatch):
+    """The term tensors ``reconstruct`` hands to ``_density_from_terms`` for n
+    seeded count tables, with the matrix it made from each."""
+    seen = []
+
+    def record(t):
+        seen.append(t.copy())
+        return analysis._density_from_terms(t)
+
+    monkeypatch.setattr(tomo, "_density_from_terms", record)
+    made = []
+    for _ in range(n):
+        counts = rng.poisson(rng.uniform(0.5, 40.0), size=(81, 16)) + 1
+        records = [CountRecord(s, tuple(row.tolist()), 1.0) for s, row in zip(SETTINGS, counts)]
+        made.append(reconstruct(records, method="linear-inversion").matrix)
+    monkeypatch.undo()
+    return seen, made
+
+
+def test_setting_and_pauli_tables_equal_the_kron_and_einsum_constructions(monkeypatch):
     def setting_bra(setting):
         b = tomo._BRAS[setting[0]]
         for letter in setting[1:]:
@@ -50,23 +71,44 @@ def test_setting_and_pauli_tables_equal_the_kron_and_einsum_constructions():
         bra = setting_bra(s)
         assert (tomo._SETTING_BRAS[s].dtype, tomo._SETTING_BRAS[s].shape) == (bra.dtype, bra.shape)
         assert tomo._SETTING_BRAS[s].tobytes() == bra.tobytes()
-    stack = np.stack([PAULI[a] for a in AXES])
-    sigma = np.einsum("aij,bkl,cmn,dop->abcdikmojlnp", stack, stack, stack, stack)
-    sigma = sigma.reshape(256, 16, 16)
-    assert (tomo._SIGMA.dtype, tomo._SIGMA.shape) == (sigma.dtype, sigma.shape)
-    assert tomo._SIGMA.tobytes() == sigma.tobytes()
     term_of = np.array([
         sum(AXES.index(s[k]) << 2 * (3 - k) for k in range(4) if mask & (1 << (3 - k)))
         for s in SETTINGS for mask in range(16)
     ])
-    assert (tomo._TERM_OF.dtype, tomo._TERM_OF.shape) == (term_of.dtype, term_of.shape)
-    assert tomo._TERM_OF.tobytes() == term_of.tobytes()
+    terms = analysis._SETTING_TERMS.ravel()
+    assert (terms.dtype, terms.shape) == (term_of.dtype, term_of.shape)
+    assert terms.tobytes() == term_of.tobytes()
     signs = np.array([[1 - 2 * ((o >> (3 - k)) & 1) for k in range(4)] for o in range(16)])
     subset_signs = np.array([
         [math.prod(signs[o, k] for k in range(4) if mask & (1 << (3 - k))) for o in range(16)]
         for mask in range(16)
     ], dtype=float)
     assert tomo._SUBSET_SIGNS.tobytes() == subset_signs.tobytes()
+
+    # the 256 Pauli products, term t = 64 a + 16 b + 4 c + d over AXES, and the
+    # Pauli sum over them as the oracle of _density_from_terms
+    stack = np.stack([PAULI[a] for a in AXES])
+    sigma = np.einsum("aij,bkl,cmn,dop->abcdikmojlnp", stack, stack, stack, stack)
+    sigma = sigma.reshape(256, 16, 16)
+    rng = np.random.default_rng(14)
+    tensors = []
+    for _ in range(200):
+        t = rng.uniform(-1.0, 1.0, 256)
+        # exact and negative zeros, as sparse tensors of pure states have
+        t[rng.random(256) < rng.random()] = 0.0
+        t[rng.random(256) < 0.2] *= -0.0
+        t[0] = 1.0
+        tensors.append(t)
+    seen, made = terms_from_reconstruct(rng, 100, monkeypatch)
+    assert len(seen) == 100
+    for t in tensors + seen:
+        mat = analysis._density_from_terms(t)
+        want = np.einsum("t,tij->ij", t, sigma) / 16.0
+        assert (mat.dtype, mat.shape, mat.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert mat.tobytes() == want.tobytes()
+        np.testing.assert_allclose(correlations(mat).values.ravel(), t, rtol=0.0, atol=1e-12)
+    for t, mat in zip(seen, made):
+        assert mat.tobytes() == (np.einsum("t,tij->ij", t, sigma) / 16.0).tobytes()
 
 
 def test_ghz_zbasis_probabilities():
