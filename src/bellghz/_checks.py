@@ -16,6 +16,9 @@ GAMMA_MAX = math.pi / 4
 #: Largest Poisson mean per setting; numpy's sampler refuses means above about 9.2e18.
 MAX_SHOTS_PER_SETTING = 1e18
 
+#: The methods :func:`bellghz.tomo.reconstruct` takes.
+RECONSTRUCTION_METHODS = ("linear-inversion", "physical-projection")
+
 
 def _real(name: str, value) -> float:
     """``value`` as a float; ValueError naming it unless it is a real number.

@@ -252,6 +252,8 @@ def biseparable_bounds(gammas) -> list[float]:
     is an iterable of angles in range.
     """
     try:
+        if isinstance(gammas, (str, bytes)):  # iterable, but of characters
+            raise TypeError
         gammas = iter(gammas)
     except TypeError:
         raise ValueError(f"gammas must be an iterable of angles, got {gammas!r}") from None
@@ -420,6 +422,10 @@ def haar_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+#: Most random unitaries one :func:`lu_invariance_check` draws (~0.1 ms each).
+MAX_LU_TRIALS = 10_000
+
+
 def lu_invariance_check(gamma: float, trials: int = 100, seed: int = 7) -> float:
     """Max deviation of |<psi|U x U x U x U|psi>| from 1 over random U.
 
@@ -427,12 +433,13 @@ def lu_invariance_check(gamma: float, trials: int = 100, seed: int = 7) -> float
     order one for generic family members.  Psi4+ also gives an order-one
     result: it equals (Z x Z x 1 x 1) Psi4-, so it is invariant only under
     the twisted group (ZUZ) x (ZUZ) x U x U.  Raises ValueError unless
-    ``trials`` is a positive integer and ``seed`` a non-negative one.
+    ``trials`` is an integer in [1, MAX_LU_TRIALS] and ``seed`` a
+    non-negative one.
     """
     g = check_gamma(gamma)
     trials = _nonnegative_int("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if not 1 <= trials <= MAX_LU_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_LU_TRIALS}], got {trials!r}")
     vec = state_at(g).state.vec
     rng = np.random.default_rng(_nonnegative_int("seed", seed))
     worst = 0.0
@@ -448,10 +455,14 @@ def three_tangle(vec) -> float:
 
     Det is the degree-4 hyperdeterminant of the 2x2x2 amplitude tensor;
     it vanishes on product and W-class states and reaches 1/4 on GHZ.
+    Raises ValueError naming ``vec`` unless it holds 8 finite numbers.
     """
-    a = np.asarray(vec, dtype=complex).reshape(8)
+    try:  # reshape's ValueError covers every size but 8
+        a = np.asarray(vec, dtype=complex).reshape(8)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"vec must hold 8 amplitudes, got {type(vec).__name__}") from None
     if not np.isfinite(a).all():
-        raise ValueError("amplitudes must be finite")
+        raise ValueError("vec amplitudes must be finite")
     norm = np.linalg.norm(a)
     if norm < 1e-12:
         raise ValueError("cannot compute the tangle of a null vector")

@@ -118,9 +118,9 @@ del _matrix
 def pipeline_transform(gamma: float) -> ModeTransform:
     """All elements composed into a single 16-mode unitary.
 
-    The products of :func:`bellghz.fock.compose` over
-    :func:`standard_elements`, in the same order, with only the tunable
-    plate embedded per call.
+    The product of the 16-mode embeddings of :func:`standard_elements`,
+    each new element multiplied on the left, with only the tunable plate
+    embedded per call.
     """
     total = np.eye(len(REGISTER), dtype=complex)
     for matrix in (half_wave_plate("a", check_gamma(gamma)).embedded(REGISTER), *_FIXED_EMBEDDED):

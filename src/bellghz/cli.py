@@ -399,6 +399,8 @@ def _add_noise_json(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from ._checks import RECONSTRUCTION_METHODS
+
     parser = argparse.ArgumentParser(
         prog="bellghz",
         description="Simulate the tunable four-photon family interpolating between "
@@ -502,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S", help="RNG seed (default 0)")
     p.add_argument(
         "--method",
-        # tomo.RECONSTRUCTION_METHODS, written out so that parsing needs no numpy
-        choices=("linear-inversion", "physical-projection"),
+        choices=RECONSTRUCTION_METHODS,
         default="physical-projection",
         help="reconstruction method (default physical-projection)",
     )

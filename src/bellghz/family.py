@@ -204,7 +204,7 @@ def gamma_for_alpha(target: float, branch: str = "first") -> float:
     t = _real("target", target)
     if not amin - 1e-12 <= t <= amax + 1e-12:
         raise ValueError(
-            f"alpha={t!r} has no solution on the {branch} branch "
+            f"target={t!r} has no solution on the {branch} branch "
             f"(range [{amin!r}, {amax!r}])"
         )
 

@@ -20,12 +20,13 @@ transparent than a truncated matrix representation of each element.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import compress, zip_longest
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,26 +56,26 @@ class Mode(NamedTuple):
         return self.spatial + self.pol
 
 
-def mode(label: str) -> Mode:
-    """Parse a compact label such as ``"aH"`` into a :class:`Mode`."""
-    if len(label) != 2 or label[1] not in "HV":
-        raise ValueError(f"bad mode label {label!r}; expected e.g. 'aH' or 'eV'")
-    return Mode(label[0], label[1])
-
-
 @dataclass
 class FockState:
     """Sparse multimode photon-number state.
 
     ``amps`` maps occupation vectors (one count per register mode, in
     register order) to complex amplitudes.  Treat instances as
-    immutable; operations return new states.
+    immutable; operations return new states.  Raises ValueError for an
+    amplitude that is not a finite number.
     """
 
     register: tuple[Mode, ...]
     amps: dict[tuple[int, ...], complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        try:
+            finite = all(map(cmath.isfinite, self.amps.values()))
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            finite = False
+        if not finite:
+            raise ValueError("amps must hold finite complex amplitudes")
         n = len(self.register)
         if not set(map(len, self.amps)) <= {n}:
             occ = next(occ for occ in self.amps if len(occ) != n)
@@ -123,13 +124,6 @@ class FockState:
             raise ValueError("cannot normalize an empty state")
         s = 1.0 / math.sqrt(n2)
         return FockState(self.register, {o: a * s for o, a in self.amps.items()})
-
-    def photon_numbers(self) -> set[int]:
-        """Total photon counts present across terms."""
-        return {sum(o) for o in self.amps}
-
-    def is_empty(self) -> bool:
-        return not self.amps
 
 
 @dataclass(frozen=True)
@@ -404,19 +398,6 @@ def _gatherer(index: list[int]):
     return itemgetter(*index)
 
 
-def compose(transforms: Iterable[ModeTransform], register: Sequence[Mode]) -> ModeTransform:
-    """Collapse a sequence of transforms (applied first-to-last) into one.
-
-    Equivalent to applying them in order, by the substitution rule's
-    composition property: apply(apply(s, U), V) = apply(s, V @ U).
-    """
-    reg = tuple(register)
-    total = np.eye(len(reg), dtype=complex)
-    for t in transforms:
-        total = t.embedded(reg) @ total
-    return ModeTransform(reg, total)
-
-
 def postselect(
     state: FockState, pattern: Mapping[str, int]
 ) -> tuple[FockState, float]:
@@ -471,16 +452,3 @@ def _path_pairs(
             raise ValueError(f"spatial path {sp!r} has {len(idxs)} modes; at most H and V")
         pairs.append((idxs[0], idxs[-1], want if len(idxs) == 2 else 2 * want))
     return tuple(pairs)
-
-
-def overlap(s1: FockState, s2: FockState) -> complex:
-    """Inner product <s1|s2> in the orthonormal occupation basis."""
-    if s1.register != s2.register:
-        raise ValueError("overlap requires identical mode registers")
-    if len(s1.amps) > len(s2.amps):
-        s1, s2 = s2, s1
-        conj = True
-    else:
-        conj = False
-    val = sum(s1.amps[o].conjugate() * s2.amps[o] for o in s1.amps if o in s2.amps)
-    return complex(val).conjugate() if conj else complex(val)

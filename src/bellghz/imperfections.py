@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -91,22 +90,25 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     incoherently. A branch is one lost mode pair i <= j.
     """
     from .circuit import COINCIDENCE_PATTERN, REGISTER, pipeline_transform, spdc_term, to_qubits
-    from .fock import FockState, apply_transform, postselect
+    from .fock import FockState, _path_pairs, apply_transform, postselect
 
-    paths, wants = _loss_paths()
+    # each path's (H, V) positions and the photons a coincidence leaves there,
+    # the table postselect reads
+    pairs = _path_pairs(REGISTER, tuple(COINCIDENCE_PATTERN.items()))
+    h, v, wants = np.array(pairs).T
     out = apply_transform(spdc_term(3), pipeline_transform(gamma))
     occs = list(out.amps)
     # photons per path beyond what a coincidence leaves there, one row per term
     width = len(REGISTER)
     counts = np.fromiter(chain.from_iterable(occs), int, len(occs) * width).reshape(-1, width)
-    excesses = counts[:, [h for h, _ in paths]] + counts[:, [v for _, v in paths]] - wants
+    excesses = counts[:, h] + counts[:, v] - wants
     lossy = (excesses >= 0).all(axis=1) & (excesses.sum(axis=1) == 2)
     branches: dict[tuple[int, int], dict[tuple[int, ...], complex]] = {}
     for t in np.flatnonzero(lossy).tolist():
         occ = occs[t]
         amp = out.amps[occ]
         # the paths the two lost photons come from; the same path twice if it holds three
-        drain = [idxs for idxs, n in zip(paths, excesses[t].tolist()) for _ in range(n)]
+        drain = [path[:2] for path, n in zip(pairs, excesses[t].tolist()) for _ in range(n)]
         for i in drain[0]:
             for j in drain[1]:
                 if j < i or occ[j] < 1 or occ[i] < 1 + (i == j):
@@ -126,16 +128,6 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
         rho += weight * np.outer(phi, phi.conj())
         total += weight
     return rho, total
-
-
-@cache
-def _loss_paths() -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The (H, V) register positions of each spatial path, and the photons a
-    coincidence leaves in each."""
-    from .circuit import COINCIDENCE_PATTERN, REGISTER, SPATIALS
-
-    paths = [tuple(i for i, m in enumerate(REGISTER) if m.spatial == sp) for sp in SPATIALS]
-    return paths, np.array([COINCIDENCE_PATTERN.get(sp, 0) for sp in SPATIALS])
 
 
 def _emission_orders(g: float, cfg: NoiseConfig):

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import (
     SETTINGS, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density, evaluate_witness,
 )
-from ._checks import MAX_SHOTS_PER_SETTING
+from ._checks import MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS
 from .family import _nonnegative_int, _real, check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
@@ -237,9 +237,6 @@ def _project_to_physical(mat: np.ndarray) -> np.ndarray:
     theta = (cumulative[k] - 1.0) / (k + 1)
     clipped = np.maximum(vals - theta, 0.0)
     return (vecs * clipped) @ vecs.conj().T
-
-
-RECONSTRUCTION_METHODS = ("linear-inversion", "physical-projection")
 
 
 def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion") -> DensityMatrix:

@@ -40,6 +40,7 @@ from bellghz.family import (
     probability,
     state_at,
 )
+from bellghz.fock import FockState, Mode
 
 MIXED = np.eye(16, dtype=complex) / 16.0
 GENERIC_GAMMAS = [0.03 * math.pi, 0.05 * math.pi, math.pi / 12, 0.13 * math.pi,
@@ -555,6 +556,15 @@ UNREADABLE_INPUTS = [
      np.array(["HV"]), "basis"),
     ("dicke_projection-outcome", lambda o: bellghz.dicke_projection(basis="HV", outcome=o),
      ["H"], "outcome"),
+    # and input outside the contract that once passed through or raised another error
+    *((f"FockState-{bad!r}", lambda a: FockState((Mode("a", "H"),), {(1,): a}), bad, "amps")
+      for bad in (math.nan, math.inf, -math.inf, "x")),
+    *((f"three_tangle-{kind}", three_tangle, bad, "vec")
+      for kind, bad in (("object", object()), ("huge-int", 10**400), ("three", [1, 2, 3]))),
+    ("lu_invariance_check-trials", lambda t: lu_invariance_check(0.1, trials=t),
+     10_001, "trials"),
+    ("gamma_for_alpha-nan", bellghz.gamma_for_alpha, math.nan, "target"),
+    ("biseparable_bounds-str", biseparable_bounds, "1", "gammas"),
 ]
 
 

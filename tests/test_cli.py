@@ -182,7 +182,7 @@ def test_sweep_rejects_single_step(capsys):
     assert "at least 2" in err
 
 
-@pytest.mark.parametrize("steps", [14, 100])
+@pytest.mark.parametrize("steps", [14, 100, 910, 972, 983])
 def test_sweep_grid_ends_exactly_at_quarter_pi(steps, capsys):
     # (steps - 1) * (pi/4) / (steps - 1) rounds one ulp above pi/4 here
     code, out, _ = run(["sweep", "--steps", str(steps)], capsys)

@@ -16,14 +16,11 @@ from bellghz.fock import (
     apply_transform,
     _plan,
     _position,
-    compose,
-    mode,
-    overlap,
     postselect,
 )
 
-AH, AV = mode("aH"), mode("aV")
-BH, BV = mode("bH"), mode("bV")
+AH, AV = Mode("a", "H"), Mode("a", "V")
+BH, BV = Mode("b", "H"), Mode("b", "V")
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -49,20 +46,14 @@ def random_state(register, rng, max_total=4):
 
 
 def test_mode_label_round_trip():
-    assert mode("aH") == Mode("a", "H")
-    assert str(mode("eV")) == "eV"
-
-
-@pytest.mark.parametrize("bad", ["a", "aX", "HV2", ""])
-def test_bad_mode_label_rejected(bad):
-    with pytest.raises(ValueError):
-        mode(bad)
+    # the label error messages print a mode as its compact label
+    assert str(Mode("e", "V")) == "eV"
 
 
 def test_vacuum_is_normalized():
     vac = FockState.vacuum((AH, AV))
     assert vac.norm_sq() == pytest.approx(1.0)
-    assert vac.photon_numbers() == {0}
+    assert list(vac.amps) == [(0, 0)]
 
 
 def test_occupation_length_mismatch_rejected():
@@ -129,7 +120,7 @@ def test_non_unitary_matrix_rejected():
 
 
 def test_unknown_mode_rejected():
-    t = ModeTransform((AH, mode("zV")), np.eye(2))
+    t = ModeTransform((AH, Mode("z", "V")), np.eye(2))
     with pytest.raises(ValueError, match="not present"):
         apply_transform(FockState.vacuum((AH, AV)), t)
 
@@ -142,7 +133,7 @@ def test_norm_and_photon_number_preserved_under_random_unitaries():
         t = ModeTransform(reg, haar_unitary(4, rng))
         out = apply_transform(st, t)
         assert out.norm_sq() == pytest.approx(st.norm_sq(), abs=1e-10)
-        assert out.photon_numbers() <= st.photon_numbers()
+        assert {sum(o) for o in out.amps} <= {sum(o) for o in st.amps}
 
 
 def test_transform_composition_matches_sequential_application():
@@ -153,7 +144,7 @@ def test_transform_composition_matches_sequential_application():
         t1 = ModeTransform((AH, AV), haar_unitary(2, rng))
         t2 = ModeTransform((AV, BH, BV), haar_unitary(3, rng))
         seq = apply_transform(apply_transform(st, t1), t2)
-        once = apply_transform(st, compose([t1, t2], reg))
+        once = apply_transform(st, ModeTransform(reg, t2.embedded(reg) @ t1.embedded(reg)))
         assert seq.register == once.register
         keys = set(seq.amps) | set(once.amps)
         for k in keys:
@@ -193,14 +184,14 @@ def test_postselect_requires_unlisted_paths_empty():
     st = FockState(reg, {(1, 0, 1, 0): 1.0}).normalized()
     kept, prob = postselect(st, {"a": 1})
     assert prob == 0.0
-    assert kept.is_empty()
+    assert kept.amps == {}
 
 
 def test_postselect_empty_survivor_is_zero_probability():
     st = FockState((AH, AV), {(2, 0): 1.0})
     kept, prob = postselect(st, {"a": 1})
     assert prob == 0.0
-    assert kept.is_empty()
+    assert kept.amps == {}
     with pytest.raises(ValueError):
         kept.normalized()
 
@@ -247,7 +238,7 @@ def postselect_by_sums(state, pattern):
 @pytest.mark.parametrize("reg", [
     (AH, AV, BH, BV),
     (AH, BH, BV),  # path a has its H mode only
-    (BV, AH, mode("cH"), AV, mode("cV"), BH),
+    (BV, AH, Mode("c", "H"), AV, Mode("c", "V"), BH),
 ])
 def test_postselect_equals_the_generator_sum_oracle(reg):
     rng = np.random.default_rng(len(reg))
@@ -270,20 +261,9 @@ def test_postselect_rejects_a_path_with_more_than_two_modes():
         postselect(st, {"a": 0})
 
 
-def test_overlap_basics():
-    reg = (AH, AV)
-    s1 = FockState(reg, {(1, 0): 1.0})
-    s2 = FockState(reg, {(0, 1): 1.0})
-    sup = FockState(reg, {(1, 0): INV_SQRT2, (0, 1): 1.0j * INV_SQRT2})
-    assert overlap(s1, s2) == 0.0
-    assert overlap(s1, sup) == pytest.approx(INV_SQRT2)
-    assert overlap(sup, s1) == pytest.approx(INV_SQRT2)  # conjugated slot
-    assert overlap(sup, sup) == pytest.approx(1.0)
-
-
-def test_overlap_register_mismatch_rejected():
-    with pytest.raises(ValueError, match="register"):
-        overlap(FockState.vacuum((AH, AV)), FockState.vacuum((AH, BH)))
+def overlap(s1, s2):
+    """Inner product <s1|s2> in the orthonormal occupation basis."""
+    return sum(a.conjugate() * s2.amps.get(o, 0j) for o, a in s1.amps.items())
 
 
 def test_overlap_invariant_under_shared_unitary():
@@ -306,7 +286,7 @@ def test_from_occupations_accepts_photon_lists_and_vectors():
     doubled = FockState.from_occupations(reg, {(AH, AH): 1.0})
     assert doubled.amps == {(2, 0, 0, 0): 1.0}
     with pytest.raises(ValueError, match="not present"):
-        FockState.from_occupations(reg, {(mode("qH"),): 1.0})
+        FockState.from_occupations(reg, {(Mode("q", "H"),): 1.0})
     # occupation vectors go to the constructor; as photon lists they name no mode
     with pytest.raises(ValueError, match="not present"):
         FockState.from_occupations(reg, {(1, 0, 0, 1): 1.0})
@@ -490,7 +470,7 @@ def test_apply_transform_equals_the_oracle_on_signed_zero_amplitudes():
 @pytest.mark.parametrize("reg", [
     (AH, AV, BH, BV),
     (AH, BH, BV),
-    (BV, AH, mode("cH"), AV, mode("cV"), BH),
+    (BV, AH, Mode("c", "H"), AV, Mode("c", "V"), BH),
 ])
 def test_postselect_equals_the_per_call_pairs_oracle(reg):
     rng = np.random.default_rng(10 + len(reg))
@@ -567,9 +547,9 @@ def test_terms_without_a_transformed_photon_keep_python_complex():
     assert amp_bytes(out) == amp_bytes(apply_transform_by_terms(state, t))
     assert {type(a) for occ, a in out.amps.items() if occ[:2] != (0, 0)} == {np.complex128}
     assert type(out.amps[(0, 0, 0, 3)]) is complex
-    # passed on as 0j + amp, as the term-by-term loop did, finite or not
-    state = FockState(reg, {(1, 0, 0, 0): 0.6, (0, 0, 2, 0): complex(math.inf, 0.5)})
-    assert apply_transform(state, t).amps[(0, 0, 2, 0)] == complex(math.inf, 0.5)
+    # an infinite amplitude cannot reach it: the state rejects it
+    with pytest.raises(ValueError, match="amps"):
+        FockState(reg, {(1, 0, 0, 0): 0.6, (0, 0, 2, 0): complex(math.inf, 0.5)})
     # no term touched at all, and no term at all
     bystander = ModeTransform((BH, BV), np.eye(2))
     out = apply_transform(FockState(reg, {(1, 0, 0, 0): 0.6}), bystander)
