@@ -20,6 +20,14 @@ MAX_SHOTS_PER_SETTING = 1e18
 RECONSTRUCTION_METHODS = ("linear-inversion", "physical-projection")
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or only its type where Python refuses to print an int in it."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _real(name: str, value) -> float:
     """``value`` as a float; ValueError naming it unless it is a real number.
 
@@ -28,7 +36,7 @@ def _real(name: str, value) -> float:
     an infinity of its sign, which every range check then rejects.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -42,7 +50,7 @@ def _nonnegative_int(name: str, value) -> int:
     and strings do not.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {_shown(value)}")
     return int(value)
 
 
@@ -56,3 +64,11 @@ def check_gamma(gamma: float) -> float:
             f"gamma must lie in [0, pi/4] = [0, {GAMMA_MAX!r}] rad; got {g!r}"
         )
     return g
+
+
+def _parse(name: str, parse, value, kind: str):
+    """``parse(value)``; ValueError naming ``name`` where it raises TypeError."""
+    try:
+        return parse(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {kind}, got {type(value).__name__}") from None

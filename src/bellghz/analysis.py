@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import (
-    CLASS_NAMES, QubitState4, _amplitudes, _nonnegative_int, alpha, check_gamma, state_at,
+    CLASS_NAMES, QubitState4, _amplitude_vector, _amplitudes, _nonnegative_int, _shown, alpha,
+    check_gamma, state_at,
 )
 
 #: Axis labels of the correlation tensor, in index order.
@@ -256,7 +257,7 @@ def biseparable_bounds(gammas) -> list[float]:
             raise TypeError
         gammas = iter(gammas)
     except TypeError:
-        raise ValueError(f"gammas must be an iterable of angles, got {gammas!r}") from None
+        raise ValueError(f"gammas must be an iterable of angles, got {_shown(gammas)}") from None
     return _bounds_at_alphas([alpha(g) for g in gammas])
 
 
@@ -395,14 +396,14 @@ def fidelity_from_cover(rho, gamma: float, cover: SettingCover | None = None) ->
     if cover is None:
         cover = setting_cover(g)
     elif not isinstance(cover, SettingCover):
-        raise ValueError(f"cover must be a SettingCover or None, got {cover!r}")
+        raise ValueError(f"cover must be a SettingCover or None, got {_shown(cover)}")
     target = correlations(state_at(g).state)
     measured = correlations(rho)
     covered = np.zeros(len(_TERMS), dtype=bool)
     try:
         covered[[_TERM_INDEX[t] for terms in cover.covered_terms.values() for t in terms]] = True
     except KeyError as exc:
-        raise ValueError(f"cover lists an unknown term {exc.args[0]!r}") from None
+        raise ValueError(f"cover lists an unknown term {_shown(exc.args[0])}") from None
     missing = np.flatnonzero(target._nonzero() & ~covered)
     if missing.size:
         raise ValueError(
@@ -439,7 +440,7 @@ def lu_invariance_check(gamma: float, trials: int = 100, seed: int = 7) -> float
     g = check_gamma(gamma)
     trials = _nonnegative_int("trials", trials)
     if not 1 <= trials <= MAX_LU_TRIALS:
-        raise ValueError(f"trials must lie in [1, {MAX_LU_TRIALS}], got {trials!r}")
+        raise ValueError(f"trials must lie in [1, {MAX_LU_TRIALS}], got {_shown(trials)}")
     vec = state_at(g).state.vec
     rng = np.random.default_rng(_nonnegative_int("seed", seed))
     worst = 0.0
@@ -457,12 +458,7 @@ def three_tangle(vec) -> float:
     it vanishes on product and W-class states and reaches 1/4 on GHZ.
     Raises ValueError naming ``vec`` unless it holds 8 finite numbers.
     """
-    try:  # reshape's ValueError covers every size but 8
-        a = np.asarray(vec, dtype=complex).reshape(8)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"vec must hold 8 amplitudes, got {type(vec).__name__}") from None
-    if not np.isfinite(a).all():
-        raise ValueError("vec amplitudes must be finite")
+    a = _amplitude_vector("vec", vec, 8)
     norm = np.linalg.norm(a)
     if norm < 1e-12:
         raise ValueError("cannot compute the tangle of a null vector")
@@ -505,7 +501,7 @@ def dicke_projection(basis: str, outcome: str) -> DickeProjection:
     except (KeyError, TypeError):  # TypeError: an unhashable basis or outcome
         raise ValueError(
             "basis must be 'HV' (outcome 'H' or 'V') or 'PM' (outcome '+' or '-'), "
-            f"got basis={basis!r}, outcome={outcome!r}"
+            f"got basis={_shown(basis)}, outcome={_shown(outcome)}"
         ) from None
     vec = state_at(math.pi / 12).state.vec.reshape(8, 2)
     residue = vec @ probe.conj()

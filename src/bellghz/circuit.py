@@ -28,6 +28,9 @@ REGISTER: tuple[Mode, ...] = tuple(
     Mode(sp, pol) for sp in SPATIALS for pol in "HV"
 )
 
+#: An emission fills only aH, aV, bH and bV, the first four modes; the rest stay empty.
+_UNLIT = (0,) * (len(REGISTER) - 4)
+
 #: Output paths, in qubit order (qubit 1 = e, ..., qubit 4 = h).
 OUTPUTS = ("e", "f", "g", "h")
 
@@ -139,18 +142,10 @@ def spdc_term(order: int) -> FockState:
     order = _nonnegative_int("emission order", order)
     if order < 1:
         raise ValueError("emission order must be >= 1")
-    amp = 1.0 / math.sqrt(order + 1.0)
-    terms = {}
-    for k in range(order + 1):
-        occ = {
-            Mode("a", "H"): k,
-            Mode("a", "V"): order - k,
-            Mode("b", "H"): order - k,
-            Mode("b", "V"): k,
-        }
-        key = tuple(m for m, n in occ.items() for _ in range(n))
-        terms[key] = amp
-    return FockState.from_occupations(REGISTER, terms)
+    amp = 0j + 1.0 / math.sqrt(order + 1.0)
+    return FockState(
+        REGISTER, {(k, order - k, order - k, k, *_UNLIT): amp for k in range(order + 1)}
+    )
 
 
 class PipelineResult(NamedTuple):
@@ -213,13 +208,11 @@ def run_pipeline(gamma: float) -> PipelineResult:
 def source_terms() -> list[FockState]:
     """The three operator monomials of the double-pair emission, with
     their physical weights (norms 1/sqrt(3) each)."""
-    a = 1.0 / math.sqrt(3.0)
-    ah, av = Mode("a", "H"), Mode("a", "V")
-    bh, bv = Mode("b", "H"), Mode("b", "V")
+    a = 0j + 1.0 / math.sqrt(3.0)
+    # aH aH bV bV, aV aV bH bH and aH aV bH bV
     return [
-        FockState.from_occupations(REGISTER, {(ah, ah, bv, bv): a}),
-        FockState.from_occupations(REGISTER, {(av, av, bh, bh): a}),
-        FockState.from_occupations(REGISTER, {(ah, av, bh, bv): a}),
+        FockState(REGISTER, {(*occ, *_UNLIT): a})
+        for occ in ((2, 0, 0, 2), (0, 2, 2, 0), (1, 1, 1, 1))
     ]
 
 

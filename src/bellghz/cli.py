@@ -184,17 +184,18 @@ def _cmd_sweep(args) -> str:
     from . import analysis, family
     from .family import CLASS_NAMES, GAMMA_MAX
 
-    # the last grid angle can round one ulp above pi/4 (e.g. N = 14, 100)
-    gammas = [min(GAMMA_MAX, GAMMA_MAX * i / (args.steps - 1)) for i in range(args.steps)]
-    alphas = [family.alpha(g) for g in gammas]
+    # the last angle can round one ulp above pi/4 (N = 14, 100); clamped, none needs a check
+    grid = np.minimum(GAMMA_MAX, GAMMA_MAX * np.arange(args.steps) / (args.steps - 1))
+    gammas = grid.tolist()
+    alphas, probabilities = zip(*map(family._alpha_probability, gammas))
     a = np.array(alphas)
     columns = [
         gammas,
-        [g / math.pi for g in gammas],
+        (grid / math.pi).tolist(),
         alphas,
-        [family.probability(g) for g in gammas],
+        probabilities,
         *(family._CLASS_FUNCS[name](a).tolist() for name in CLASS_NAMES),
-        analysis._bounds_at_alphas(alphas),
+        analysis._bounds_at_alphas(list(alphas)),
     ]
     header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
     return _csv_text(header, zip(*columns))

@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # the checks live where the CLI can run them without numpy; re-exported here
-from ._checks import GAMMA_MAX, GAMMA_MIN, _nonnegative_int, _real, check_gamma  # noqa: F401
+from ._checks import GAMMA_MAX, GAMMA_MIN, _real, _shown, check_gamma
+from ._checks import _nonnegative_int  # noqa: F401
 
 #: Modulus classes of the correlation tensor, named by one representative
 #: index string over {0, x, y, z} (0 = identity slot).
@@ -41,14 +42,32 @@ CLASS_NAMES = ("iiii", "0z0z", "00zz", "0x0x", "00xx")
 
 def probability(gamma: float) -> float:
     """Four-fold coincidence probability p(gamma)."""
-    g = check_gamma(gamma)
-    return (5.0 - 4.0 * math.cos(4 * g) + 3.0 * math.cos(8 * g)) / 48.0
+    return _alpha_probability(check_gamma(gamma))[1]
 
 
 def alpha(gamma: float) -> float:
     """Bell-pair amplitude alpha(gamma); signed, in [-sqrt(1/3), 1]."""
-    g = check_gamma(gamma)
-    return 2.0 * math.cos(4 * g) / math.sqrt(48.0 * probability(g))
+    return _alpha_probability(check_gamma(gamma))[0]
+
+
+def _alpha_probability(g: float) -> tuple[float, float]:
+    """(alpha, p) at an angle ``g`` already in [0, pi/4], with one cos(4 g)."""
+    c4 = math.cos(4 * g)
+    p = (5.0 - 4.0 * c4 + 3.0 * math.cos(8 * g)) / 48.0
+    return 2.0 * c4 / math.sqrt(48.0 * p), p
+
+
+def _amplitude_vector(name: str, value, n: int) -> np.ndarray:
+    """``value`` as a flat array of ``n`` finite complex numbers; else ValueError naming it."""
+    try:
+        v = np.asarray(value, dtype=complex).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} needs {n} amplitudes, got {type(value).__name__}") from None
+    if v.shape != (n,):
+        raise ValueError(f"{name} needs {n} amplitudes, got shape {np.shape(value)}")
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
+        raise ValueError(f"{name} must hold finite amplitudes")
+    return v
 
 
 @dataclass(frozen=True)
@@ -61,12 +80,7 @@ class QubitState4:
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vec, dtype=complex).reshape(-1)
-        if v.shape != (16,):
-            raise ValueError(f"vec needs 16 amplitudes, got shape {np.shape(self.vec)}")
-        if not np.logical_and.reduce(np.isfinite(v), axis=None):
-            raise ValueError("vec must hold finite amplitudes")
-        object.__setattr__(self, "vec", v)
+        object.__setattr__(self, "vec", _amplitude_vector("vec", self.vec, 16))
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.vec, self.vec).real)
@@ -122,8 +136,8 @@ def _amplitudes(a):
 def state_at(gamma: float) -> FamilyPoint:
     """Family member at ``gamma``, built from the closed form."""
     g = check_gamma(gamma)
-    a = alpha(g)
-    return FamilyPoint(g, a, probability(g), QubitState4(_amplitudes(a)))
+    a, p = _alpha_probability(g)
+    return FamilyPoint(g, a, p, QubitState4(_amplitudes(a)))
 
 
 _BRANCHES = {
@@ -199,7 +213,7 @@ def gamma_for_alpha(target: float, branch: str = "first") -> float:
     ``second`` covers [pi/8, pi/4] where alpha runs 0 -> -sqrt(1/3).
     """
     if not isinstance(branch, str) or branch not in _BRANCHES:
-        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
+        raise ValueError(f"branch must be 'first' or 'second', got {_shown(branch)}")
     lo, hi, amin, amax = _BRANCHES[branch]
     t = _real("target", target)
     if not amin - 1e-12 <= t <= amax + 1e-12:

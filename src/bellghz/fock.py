@@ -89,32 +89,6 @@ class FockState:
         reg = tuple(register)
         return cls(reg, {(0,) * len(reg): 1.0 + 0.0j})
 
-    @classmethod
-    def from_occupations(
-        cls,
-        register: Sequence[Mode],
-        terms: Mapping[tuple[Mode, ...], complex],
-    ) -> "FockState":
-        """Build a state from sparse terms.
-
-        Keys are tuples of :class:`Mode` entries listing each photon
-        once, e.g. ``(aH, aH, bV)`` for two photons in aH and one in
-        bV.  Amplitudes on coinciding occupations add.  Occupation
-        vectors go to the constructor directly.
-        """
-        reg = tuple(register)
-        index = {m: i for i, m in enumerate(reg)}
-        amps: dict[tuple[int, ...], complex] = {}
-        for key, amp in terms.items():
-            vec = [0] * len(reg)
-            for m in key:
-                if m not in index:
-                    raise ValueError(f"mode {m} not present in register")
-                vec[index[m]] += 1
-            occ = tuple(vec)
-            amps[occ] = amps.get(occ, 0.0j) + complex(amp)
-        return cls(reg, amps)
-
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
 

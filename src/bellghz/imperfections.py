@@ -20,6 +20,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._checks import _parse, _shown
 from .family import QubitState4, _real, check_gamma, state_at
 
 #: Largest pair-emission strength the truncated expansion supports;
@@ -48,7 +49,7 @@ class NoiseConfig:
             _real(f.name, getattr(self, f.name))
         if not 0.0 <= self.pair_probability <= MAX_PAIR_PROBABILITY:
             raise ValueError(
-                f"pair_probability {self.pair_probability!r} is outside the supported "
+                f"pair_probability {_shown(self.pair_probability)} is outside the supported "
                 f"range [0, {MAX_PAIR_PROBABILITY}]; higher orders would not be negligible"
             )
         if not 0.0 < self.efficiency <= 1.0:
@@ -65,7 +66,7 @@ class NoiseConfig:
     def from_json(cls, text: str) -> "NoiseConfig":
         """The configuration a JSON object gives; ValueError for anything
         else, and for keys that are not fields."""
-        data = json.loads(text)
+        data = _parse("text", json.loads, text, "a JSON str or bytes")
         if not isinstance(data, dict):
             raise ValueError("noise configuration must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -77,7 +78,7 @@ class NoiseConfig:
 def _check_config(cfg) -> None:
     """ValueError naming cfg unless it is a NoiseConfig."""
     if not isinstance(cfg, NoiseConfig):
-        raise ValueError(f"cfg must be a NoiseConfig, got {cfg!r}")
+        raise ValueError(f"cfg must be a NoiseConfig, got {_shown(cfg)}")
 
 
 def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
@@ -181,7 +182,7 @@ def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.n
     ValueError unless ``state`` is a QubitState4 and ``cfg`` a NoiseConfig.
     """
     if not isinstance(state, QubitState4):
-        raise ValueError(f"state must be a QubitState4, got {state!r}")
+        raise ValueError(f"state must be a QubitState4, got {_shown(state)}")
     g = check_gamma(gamma)
     _check_config(cfg)
     v = cfg.visibility

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import (
     SETTINGS, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density, evaluate_witness,
 )
-from ._checks import MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS
+from ._checks import MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _parse, _shown
 from .family import _nonnegative_int, _real, check_gamma
 from .imperfections import NoiseConfig, noisy_density_matrix
 
@@ -94,29 +94,29 @@ class CountRecord:
     shots: float
 
     def __post_init__(self):
-        if self.setting not in _SETTING_INDEX:
-            raise ValueError(f"unknown setting {self.setting!r}")
+        if not isinstance(self.setting, str) or self.setting not in _SETTING_INDEX:
+            raise ValueError(f"unknown setting {_shown(self.setting)}")
         counts = self.counts
         try:
             kinds = set(map(type, counts))
             n = len(counts)
         except TypeError:
-            raise ValueError(f"counts must be a sequence of 16 numbers, got {counts!r}") from None
+            raise ValueError(f"counts must be 16 numbers, got {_shown(counts)}") from None
         if not kinds <= _PLAIN_COUNTS and any(
             isinstance(c, bool) or not isinstance(c, numbers.Real) for c in counts
         ):
-            raise ValueError(f"counts must be real numbers, got {counts!r}")
+            raise ValueError(f"counts must be real numbers, got {_shown(counts)}")
         if n != 16:
             raise ValueError("need one count per 16 outcomes")
         # one count at a time only where a quicker look leaves doubt
-        if kinds == _INTS:  # ints are finite: only their sign needs a look
-            plain = min(counts) >= 0
+        if kinds == _INTS:  # an exact int sum a float holds bounds every count
+            plain = min(counts) >= 0 and sum(counts) <= sys.float_info.max
         elif kinds == _FLOATS:  # below infinity, a float sum leaves no NaN or infinity
             plain = min(counts) >= 0 and sum(counts) < math.inf
         else:
             plain = False
-        if not plain and any(not 0 <= c < math.inf for c in counts):
-            raise ValueError("counts must be finite and non-negative")
+        if not plain and any(not 0 <= c <= sys.float_info.max for c in counts):
+            raise ValueError("counts must be finite and non-negative, and convert to a float")
         # records are built with float shots; anything else is checked
         shots = self.shots if type(self.shots) is float else _real("shots", self.shots)
         if not 0 < shots < math.inf:
@@ -131,7 +131,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = as_density(np.array(self.matrix, dtype=complex))
+        # np.array keeps the input's memory order, on which later products' last bits depend
+        mat = np.array(as_density(self.matrix))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -146,7 +147,7 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "DensityMatrix":
-        data = json.loads(text)
+        data = _parse("text", json.loads, text, "a JSON str or bytes")
         if not isinstance(data, dict) or set(data) != {"real", "imag"}:
             raise ValueError("expected a JSON object with 'real' and 'imag'")
         try:
@@ -174,8 +175,8 @@ def setting_probabilities(state, setting: str) -> np.ndarray:
         rho = as_density(state)
     try:
         bra = _SETTING_BRAS[setting]
-    except KeyError:
-        raise ValueError(f"unknown setting {setting!r}") from None
+    except (KeyError, TypeError):  # TypeError: an unhashable setting
+        raise ValueError(f"unknown setting {_shown(setting)}") from None
     return np.maximum(np.einsum("ij,jk,ik->i", bra, rho, bra.conj()).real, 0.0)
 
 
@@ -192,7 +193,7 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
     if not 1 <= shots_per_setting <= MAX_SHOTS_PER_SETTING:
         raise ValueError(
             f"shots_per_setting must be finite, at least 1 and at most "
-            f"{MAX_SHOTS_PER_SETTING:g}, got {shots_per_setting!r}"
+            f"{MAX_SHOTS_PER_SETTING:g}, got {_shown(shots_per_setting)}"
         )
     seed = _nonnegative_int("seed", seed)
     rho = DensityMatrix(as_density(state))
@@ -212,7 +213,7 @@ def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
     """
     real = isinstance(shots, numbers.Real) and not isinstance(shots, bool)
     if not (real and 0 < shots <= sys.float_info.max):
-        raise ValueError(f"shots must be a finite real number above 0, got {shots!r}")
+        raise ValueError(f"shots must be a finite real number above 0, got {_shown(shots)}")
     rho = DensityMatrix(as_density(state))
     scale = float(shots)
     return [
@@ -283,10 +284,12 @@ def _count_records(records) -> list[CountRecord]:
     try:
         records = list(records)
     except TypeError:
-        raise ValueError(f"records must be an iterable of CountRecord, got {records!r}") from None
+        raise ValueError(
+            f"records must be an iterable of CountRecord, got {_shown(records)}"
+        ) from None
     for rec in records:
         if not isinstance(rec, CountRecord):
-            raise ValueError(f"records must hold CountRecord instances, got {rec!r}")
+            raise ValueError(f"records must hold CountRecord instances, got {_shown(rec)}")
     return records
 
 
@@ -325,10 +328,10 @@ def write_counts(records: Sequence[CountRecord], path) -> None:
     """CSV dump with header setting,outcome,count; one row per outcome.
 
     Raises ValueError, before the file is opened, unless ``records`` is an
-    iterable of CountRecord.
+    iterable of CountRecord and ``path`` a str or path-like.
     """
     records = _count_records(records)
-    with open(Path(path), "w", newline="") as fh:
+    with open(_parse("path", Path, path, "a str or path-like"), "w", newline="") as fh:
         lines = ["setting,outcome,count\n"]
         for rec in records:
             for outcome, count in zip(OUTCOMES, rec.counts):
@@ -341,7 +344,7 @@ def write_counts(records: Sequence[CountRecord], path) -> None:
 def read_counts(path) -> list[CountRecord]:
     """Read a counts CSV back into records, tolerating missing zero rows."""
     table: dict[str, list[float]] = {}
-    with open(Path(path), newline="") as fh:
+    with open(_parse("path", Path, path, "a str or path-like"), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["setting", "outcome", "count"]:

@@ -41,6 +41,7 @@ from bellghz.family import (
     state_at,
 )
 from bellghz.fock import FockState, Mode
+from bellghz.tomo import setting_probabilities
 
 MIXED = np.eye(16, dtype=complex) / 16.0
 GENERIC_GAMMAS = [0.03 * math.pi, 0.05 * math.pi, math.pi / 12, 0.13 * math.pi,
@@ -274,7 +275,7 @@ def test_family_state_is_symmetric_under_swapping_qubits_3_and_4():
                               vec.transpose(0, 3, 1, 2).reshape(4, 4))
 
 
-@pytest.mark.parametrize("steps", [2, 14, 97, 101, 951])
+@pytest.mark.parametrize("steps", [2, 14, 97, 101, 910, 951, 972, 983, 1001, 2000])
 def test_sweep_rows_equal_the_scalar_route(steps, capsys):
     rows = []
     for g in sweep_grid(steps):
@@ -565,6 +566,45 @@ UNREADABLE_INPUTS = [
      10_001, "trials"),
     ("gamma_for_alpha-nan", bellghz.gamma_for_alpha, math.nan, "target"),
     ("biseparable_bounds-str", biseparable_bounds, "1", "gammas"),
+    *((f"QubitState4-{kind}", QubitState4, bad, "vec")
+      for kind, bad in (("object", object()), ("huge-int", 10**400), ("ragged", [[1, 2], [3]]))),
+    *((f"DensityMatrix-{kind}", bellghz.DensityMatrix, bad, "matrix")
+      for kind, bad in (("object", object()), ("huge-int", 10**400))),
+    ("setting_probabilities-unhashable", lambda s: setting_probabilities(MIXED, s), [1],
+     "setting"),
+    ("CountRecord-unhashable-setting", lambda s: bellghz.CountRecord(s, (1,) * 16, 1.0), ["x"],
+     "setting"),
+    ("CountRecord-huge-count", lambda c: bellghz.CountRecord("xxxx", (c,) + (1,) * 15, 1.0),
+     10**5000, "counts"),
+    ("NoiseConfig.from_json", bellghz.NoiseConfig.from_json, 1, "text"),
+    ("DensityMatrix.from_json", bellghz.DensityMatrix.from_json, None, "text"),
+    *((f"read_counts-{bad!r}", bellghz.read_counts, bad, "path") for bad in (None, 1j, 3.5)),
+    *((f"write_counts-{bad!r}", lambda p: bellghz.write_counts([], p), bad, "path")
+      for bad in (None, 1j, 3.5)),
+    # a message that printed an int beyond Python's 4300-digit limit raised that
+    # limit's ValueError in its place, which names nothing
+    ("lu_invariance_check-huge-seed", lambda s: lu_invariance_check(0.1, seed=s), -10**5000,
+     "seed"),
+    ("lu_invariance_check-huge-trials", lambda t: lu_invariance_check(0.1, trials=t), 10**5000,
+     "trials"),
+    ("simulate_counts-huge-seed", lambda s: bellghz.simulate_counts(MIXED, 100, s), -10**5000,
+     "seed"),
+    ("simulate_counts-huge-shots", lambda n: bellghz.simulate_counts(MIXED, n, 1), 10**5000,
+     "shots_per_setting"),
+    ("exact_frequency_records-huge-shots", lambda n: bellghz.exact_frequency_records(MIXED, n),
+     10**5000, "shots"),
+    ("NoiseConfig-huge", lambda p: bellghz.NoiseConfig(pair_probability=p), 10**5000,
+     "pair_probability"),
+    ("noisy_density_matrix-huge-cfg", lambda c: bellghz.noisy_density_matrix(0.1, c), 10**5000,
+     "cfg"),
+    ("gamma_for_alpha-huge-branch", lambda b: bellghz.gamma_for_alpha(0.5, branch=b), 10**5000,
+     "branch"),
+    ("dicke_projection-huge-basis", lambda b: dicke_projection(basis=b, outcome="H"), 10**5000,
+     "basis"),
+    ("fidelity_from_cover-huge-cover", lambda c: fidelity_from_cover(MIXED, 0.1, c), 10**5000,
+     "cover"),
+    ("biseparable_bounds-huge", biseparable_bounds, 10**5000, "gammas"),
+    ("reconstruct-huge", bellghz.reconstruct, 10**5000, "records"),
 ]
 
 

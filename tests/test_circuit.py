@@ -16,6 +16,7 @@ from bellghz.circuit import (
     polarizing_beam_splitter,
     run_pipeline,
     source_term_coincidences,
+    source_terms,
     spdc_term,
     standard_elements,
     to_qubits,
@@ -64,6 +65,44 @@ def test_spdc_term_orders():
     assert spdc_term(np.int64(3)) == triple
 
 
+def _from_photon_lists(register, terms):
+    """Oracle: a state from keys that list each photon's Mode once, e.g.
+    ``(aH, aH, bV)``; amplitudes on coinciding occupations add."""
+    index = {m: i for i, m in enumerate(register)}
+    amps = {}
+    for key, amp in terms.items():
+        vec = [0] * len(register)
+        for m in key:
+            vec[index[m]] += 1
+        amps[tuple(vec)] = amps.get(tuple(vec), 0.0j) + complex(amp)
+    return FockState(tuple(register), amps)
+
+
+def amp_reprs(state):
+    """Occupations, amplitude types and amplitude reprs in dict order."""
+    return [(occ, type(a), repr(a)) for occ, a in state.amps.items()]
+
+
+AH, AV, BH, BV = (Mode(sp, pol) for sp in "ab" for pol in "HV")
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_spdc_term_equals_the_photon_list_construction(order):
+    amp = 1.0 / math.sqrt(order + 1.0)
+    terms = {
+        (AH,) * k + (AV,) * (order - k) + (BH,) * (order - k) + (BV,) * k: amp
+        for k in range(order + 1)
+    }
+    assert amp_reprs(spdc_term(order)) == amp_reprs(_from_photon_lists(REGISTER, terms))
+
+
+def test_source_terms_equal_the_photon_list_construction():
+    a = 1.0 / SQRT3
+    keys = [(AH, AH, BV, BV), (AV, AV, BH, BH), (AH, AV, BH, BV)]
+    want = [amp_reprs(_from_photon_lists(REGISTER, {key: a})) for key in keys]
+    assert [amp_reprs(term) for term in source_terms()] == want
+
+
 @pytest.mark.parametrize("order", [-1, 2.5, 2.0, True, "2", None])
 def test_spdc_term_rejects_orders_that_are_not_positive_integers(order):
     with pytest.raises(ValueError, match="emission order"):
@@ -87,7 +126,7 @@ def test_pbs_routing():
     assert u[idx[Mode("d", "V")], idx[Mode("a", "V")]] == 1.0j
     # two photons of equal polarization never share an output path
     reg = t.modes
-    st = FockState.from_occupations(reg, {(Mode("a", "H"), Mode("b", "H")): 1.0})
+    st = FockState(reg, {(1, 0, 1, 0, 0, 0, 0, 0): 1.0})
     out = apply_transform(st, t)
     assert set(out.amps) == {
         tuple(1 if m in (Mode("c", "H"), Mode("d", "H")) else 0 for m in reg)

@@ -278,20 +278,6 @@ def test_overlap_invariant_under_shared_unitary():
         assert after == pytest.approx(before, abs=1e-10)
 
 
-def test_from_occupations_accepts_photon_lists_and_vectors():
-    reg = (AH, AV, BH, BV)
-    by_vector = FockState(reg, {(1, 0, 0, 1): INV_SQRT2})
-    by_photons = FockState.from_occupations(reg, {(AH, BV): INV_SQRT2})
-    assert by_vector.amps == by_photons.amps
-    doubled = FockState.from_occupations(reg, {(AH, AH): 1.0})
-    assert doubled.amps == {(2, 0, 0, 0): 1.0}
-    with pytest.raises(ValueError, match="not present"):
-        FockState.from_occupations(reg, {(Mode("q", "H"),): 1.0})
-    # occupation vectors go to the constructor; as photon lists they name no mode
-    with pytest.raises(ValueError, match="not present"):
-        FockState.from_occupations(reg, {(1, 0, 0, 1): 1.0})
-
-
 _FACT = [math.factorial(n) for n in range(25)]
 _SQRT_FACT = [math.sqrt(f) for f in _FACT]
 
