@@ -22,7 +22,7 @@ import importlib
 #: submodule; a name's module is imported when the name is first used.
 _EXPORTS = {
     "analysis": (
-        "CorrelationTensor", "biseparable_bound", "biseparable_bounds",
+        "CorrelationTensor", "DensityMatrix", "biseparable_bound", "biseparable_bounds",
         "correlation_classes", "correlations", "dicke_projection", "evaluate_witness",
         "fidelity", "fidelity_from_cover", "lu_invariance_check", "pairwise_witness",
         "setting_cover", "three_tangle",
@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "imperfections": ("NoiseConfig", "higher_order_fourfolds", "noisy_density_matrix"),
     "tomo": (
-        "CountRecord", "DensityMatrix", "exact_frequency_records", "read_counts",
-        "reconstruct", "reconstruct_and_report", "simulate_counts", "write_counts",
+        "CountRecord", "exact_frequency_records", "read_counts", "reconstruct",
+        "reconstruct_and_report", "simulate_counts", "write_counts",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

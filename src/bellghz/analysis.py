@@ -2,23 +2,22 @@
 
 Everything here works on four-qubit states in the computational basis of
 :mod:`bellghz.family` (H is the +z eigenstate, qubit order e, f, g, h).
-Density matrices are accepted anywhere a state is, as plain 16x16 arrays
-or as objects carrying a ``matrix`` attribute.
+Density matrices are accepted anywhere a state is: 16x16 arrays, ``.matrix``
+carriers, and the checked :class:`DensityMatrix` (re-exported by tomo).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .family import (
-    CLASS_NAMES, QubitState4, _amplitude_vector, _amplitudes, _nonnegative_int, _shown, alpha,
-    check_gamma, state_at,
-)
+from ._checks import _nonnegative_int, _parse, _shown, check_gamma
+from .family import CLASS_NAMES, QubitState4, _amplitude_vector, _amplitudes, alpha, state_at
 
 #: Axis labels of the correlation tensor, in index order.
 AXES = "0xyz"
@@ -84,9 +83,11 @@ THREE_TANGLE_ZERO = 1e-6
 def as_density(state) -> np.ndarray:
     """Coerce a state, 16x16 array, or ``.matrix`` carrier to a density matrix.
 
-    Raises ValueError unless the result is finite and Hermitian with unit
-    trace to within DM_TOL, or when ``state`` is none of the three.
+    A read-only DensityMatrix's matrix is returned unchecked; otherwise ValueError,
+    naming ``state``, unless the result is finite and Hermitian with unit trace to within DM_TOL.
     """
+    if isinstance(state, DensityMatrix) and not state.matrix.flags.writeable:
+        return state.matrix
     if isinstance(state, QubitState4):
         mat = state.density()
     else:
@@ -98,15 +99,54 @@ def as_density(state) -> np.ndarray:
                 f"got {type(state).__name__}"
             ) from None
     if mat.shape != (16, 16):
-        raise ValueError("density matrix must be 16x16")
+        raise ValueError(f"state must be a 16x16 density matrix, got shape {mat.shape}")
     # the ufuncs' own reductions: .all() and .max() would each add a Python call
     if not np.logical_and.reduce(np.isfinite(mat), axis=None):
-        raise ValueError("density matrix must be finite")
+        raise ValueError("state must be a finite density matrix")
     if np.maximum.reduce(np.abs(mat - mat.conj().T), axis=None) > DM_TOL:
-        raise ValueError("density matrix must be Hermitian")
+        raise ValueError("state must be a Hermitian density matrix")
     if abs(mat.trace() - 1.0) > DM_TOL:
-        raise ValueError("density matrix must have unit trace")
+        raise ValueError("state must be a density matrix with unit trace")
     return mat
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A checked 16x16 state, Hermitian with unit trace; its matrix is read-only."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        # np.array keeps the input's memory order, on which later products' last bits depend
+        mat = np.array(as_density(self.matrix))
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"real": self.matrix.real.tolist(), "imag": self.matrix.imag.tolist()},
+            sort_keys=True,
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "DensityMatrix":
+        data = _parse("text", json.loads, text, "a JSON str or bytes")
+        if not isinstance(data, dict) or set(data) != {"real", "imag"}:
+            raise ValueError("expected a JSON object with 'real' and 'imag'")
+        try:
+            real, imag = (np.array(data[key], dtype=object) for key in ("real", "imag"))
+            # bools, null, strings, objects and ragged rows are not numbers
+            if any(type(x) not in (int, float) for x in (*real.flat, *imag.flat)):
+                raise TypeError("entries must be numbers")
+            if real.shape != imag.shape:
+                raise ValueError(f"shapes {real.shape} and {imag.shape} differ")
+            mat = real.astype(float) + 1j * imag.astype(float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"'real' and 'imag' must be matrices of numbers: {exc}") from None
+        return cls(mat)
 
 
 @dataclass(frozen=True)
@@ -258,7 +298,11 @@ def biseparable_bounds(gammas) -> list[float]:
         gammas = iter(gammas)
     except TypeError:
         raise ValueError(f"gammas must be an iterable of angles, got {_shown(gammas)}") from None
-    return _bounds_at_alphas([alpha(g) for g in gammas])
+    try:
+        alphas = [alpha(g) for g in gammas]
+    except ValueError as exc:  # check_gamma's, which names gamma alone
+        raise ValueError(f"gammas holds a bad angle: {exc}") from None
+    return _bounds_at_alphas(alphas)
 
 
 def _bounds_at_alphas(alphas: list[float]) -> list[float]:
@@ -300,9 +344,9 @@ def biseparable_bound(gamma: float) -> float:
 
     The one-element case of :func:`biseparable_bounds`: the same stacked
     SVD per bipartition and the same scalar squaring, so one angle and a
-    whole table give c to the same last bit.
+    whole table give c to the same last bit; a bad angle is named ``gamma``.
     """
-    return biseparable_bounds([gamma])[0]
+    return _bounds_at_alphas([alpha(gamma)])[0]
 
 
 class WitnessReport(NamedTuple):

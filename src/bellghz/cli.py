@@ -38,8 +38,8 @@ EXIT_IO = 4
 OUTDIR_ENV = "BELLGHZ_OUTDIR"
 
 
-class UsageError(Exception):
-    """Bad flag value; reported on stderr and mapped to exit code 2."""
+class UsageError(ValueError):
+    """Bad flag value; reported on stderr and mapped to exit code 2, as any ValueError is."""
 
 
 def parse_angle(text: str) -> float:
@@ -543,9 +543,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         text = args.func(args)
         _write_output(text, args.out)
-    except UsageError as exc:
-        print(f"bellghz: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         # numpy's LinAlgError is a ValueError, but a numeric failure; without
         # numpy loaded, no error can be one

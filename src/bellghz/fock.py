@@ -176,8 +176,9 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     array ``*`` fuses them), and each sum as a ``bincount`` in the order
     of a term-by-term expansion, starting from +0.0.
 
-    Padding with factors of 1 or 1+0j, and multiplying or dividing by
-    sqrt(0!) = sqrt(1!) = 1! = 1, can change only the sign of a zero
+    Padding with factors of 1 or 1+0j, multiplying or dividing by
+    sqrt(0!) = sqrt(1!) = 1! = 1, and a level's identity gather or
+    bincount of one entry per bin can change only the sign of a zero
     intermediate of finite amplitudes, never a nonzero bit, and every
     output amplitude is such a sum, so the result has the bits of the
     term-by-term expansion, each a ``numpy.complex128``.  A term with no
@@ -197,20 +198,15 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     picked = np.array((f.real, -f.imag, f.imag)).take(plan.picks, axis=1)
     # (2, n): real parts, then imaginary parts, of the terms the transform touches
     x = np.fromiter(state.amps.values(), complex, len(state.amps)).view(float).reshape(-1, 2).T
-    if plan.touched is not None:
-        x = x.take(plan.touched, axis=1)
+    x = x.take(plan.touched, axis=1)
     for d in plan.divisors:
         x = x / d
     for scale, src, cuts, bins in plan.levels:
-        if scale is not None:
-            x = x * scale
-        if src is not None:
-            x = x.take(src, axis=1)
+        x = (x * scale).take(src, axis=1)
         for cut in cuts:
             # (re, im) * (fr + i fi) = (re, im) * fr + (im, re) * (-fi, fi)
             x = x * picked[0, cut] + x[::-1] * picked[1:, cut]
-        if bins is not None:
-            x = np.bincount(bins, x.ravel()).reshape(-1, 2).T
+        x = np.bincount(bins, x.ravel()).reshape(-1, 2).T
     for s in plan.scales:
         x = x * s
     z = np.bincount(plan.bins, x.ravel(), 2 * len(plan.keys)).view(complex)
@@ -229,25 +225,24 @@ class _Plan(NamedTuple):
     ``cells`` is the flat matrix index of each factor and ``powers`` the
     (factor, m) of those raised to m > 1 and divided by m!; ``picks`` indexes
     the factors, or with -1 the 1+0j after them, in every cut of every level.
-    ``touched`` lists the terms with a transformed photon (None: all), and
-    ``divisors`` and ``scales`` hold per step the sqrt(n!) each of them is
-    divided by and each final monomial multiplied by, padded with 1.
-    Each of ``levels`` is one substitution round, (scale, src, cuts, bins):
-    each entry times ``scale``, read by the product rows at ``src``, each
-    row times the factor picked at each of ``cuts``, and the rows added into
-    the next entries by ``bins``; None where it is 1 or one row per entry.
-    ``bins`` adds the final monomials into the outputs ``keys``; ``plain``
-    pairs the output and the input term of each other term.  A ``bincount``
-    bin 2i holds a real part and 2i+1 an imaginary one.
+    ``touched`` lists the terms with a transformed photon, and ``divisors``
+    and ``scales`` hold per step the sqrt(n!) each of them is divided by and
+    each final monomial multiplied by, padded with 1.  Each of ``levels`` is
+    one substitution round, (scale, src, cuts, bins), each run in full even
+    where it is the identity: each entry times ``scale``, read by the product
+    rows at ``src``, each row times the factor picked at each of ``cuts``,
+    and the rows added into the next entries by ``bins``.  ``bins`` adds the
+    final monomials into the outputs ``keys``; ``plain`` pairs the output
+    and the input term of each other term.  A ``bincount`` bin 2i holds a
+    real part and 2i+1 an imaginary one.
     """
 
     cells: np.ndarray
     powers: tuple[tuple[int, int], ...]
     picks: np.ndarray
-    touched: np.ndarray | None
+    touched: np.ndarray
     divisors: np.ndarray
-    levels: tuple[tuple[np.ndarray | None, np.ndarray | None, tuple[slice, ...],
-                        np.ndarray | None], ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray, tuple[slice, ...], np.ndarray], ...]
     scales: np.ndarray
     bins: np.ndarray
     keys: tuple[tuple[int, ...], ...]
@@ -323,12 +318,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
         for cut in _padded(factor_lists, -1):
             cuts.append(slice(len(picks), len(picks) + len(cut)))
             picks += cut.tolist()
-        levels.append((
-            None if set(scale) == {1.0} else np.array(scale),
-            None if src == list(range(start)) else np.array(src),
-            tuple(cuts),
-            None if dst == list(range(end)) else _interleaved(dst),
-        ))
+        levels.append((np.array(scale), np.array(src, np.intp), tuple(cuts), _interleaved(dst)))
     # the outputs in the order the terms reach them; an untouched term keeps
     # its occupation, which no touched term can reach
     keys: dict[tuple[int, ...], int] = {}
@@ -344,7 +334,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
         np.array([l * k + j for l, j, _ in factors], dtype=np.intp),
         tuple((i, m) for i, (_, _, m) in enumerate(factors) if m > 1),
         np.array(picks, dtype=np.intp),
-        None if len(touched) == len(occs) else np.array(touched, dtype=np.intp),
+        np.array(touched, dtype=np.intp),
         _padded([[_SQRT_FACT[n] for n in subs[i] if n > 1] for i in touched], 1.0),
         tuple(levels),
         _padded([[_SQRT_FACT[n] for n in mono if n > 1] for poly in polys for mono in poly], 1.0),

@@ -12,7 +12,6 @@ and slot k of a setting or outcome string is qubit k+1.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 import sys
@@ -23,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import (
-    SETTINGS, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density, evaluate_witness,
+    SETTINGS, DensityMatrix, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density,
+    evaluate_witness,
 )
 from ._checks import MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _parse, _shown
 from .family import _nonnegative_int, _real, check_gamma
@@ -101,13 +101,13 @@ class CountRecord:
             kinds = set(map(type, counts))
             n = len(counts)
         except TypeError:
-            raise ValueError(f"counts must be 16 numbers, got {_shown(counts)}") from None
+            n = None
+        if n != 16:
+            raise ValueError(f"counts must be 16 numbers, got {_shown(counts)}")
         if not kinds <= _PLAIN_COUNTS and any(
             isinstance(c, bool) or not isinstance(c, numbers.Real) for c in counts
         ):
             raise ValueError(f"counts must be real numbers, got {_shown(counts)}")
-        if n != 16:
-            raise ValueError("need one count per 16 outcomes")
         # one count at a time only where a quicker look leaves doubt
         if kinds == _INTS:  # an exact int sum a float holds bounds every count
             plain = min(counts) >= 0 and sum(counts) <= sys.float_info.max
@@ -124,55 +124,12 @@ class CountRecord:
         object.__setattr__(self, "shots", shots)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reconstructed 16x16 state, Hermitian with unit trace."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        # np.array keeps the input's memory order, on which later products' last bits depend
-        mat = np.array(as_density(self.matrix))
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"real": self.matrix.real.tolist(), "imag": self.matrix.imag.tolist()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        data = _parse("text", json.loads, text, "a JSON str or bytes")
-        if not isinstance(data, dict) or set(data) != {"real", "imag"}:
-            raise ValueError("expected a JSON object with 'real' and 'imag'")
-        try:
-            real, imag = (np.array(data[key], dtype=object) for key in ("real", "imag"))
-            # bools, null, strings, objects and ragged rows are not numbers
-            if any(type(x) not in (int, float) for x in (*real.flat, *imag.flat)):
-                raise TypeError("entries must be numbers")
-            if real.shape != imag.shape:
-                raise ValueError(f"shapes {real.shape} and {imag.shape} differ")
-            mat = real.astype(float) + 1j * imag.astype(float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"'real' and 'imag' must be matrices of numbers: {exc}") from None
-        return cls(mat)
-
-
 def setting_probabilities(state, setting: str) -> np.ndarray:
     """Born-rule outcome probabilities of one setting, in outcome order.
 
-    A DensityMatrix was checked when it was made; its matrix is used as it
-    is while it is still read-only.
+    ``state`` is read by ``as_density``, which takes a DensityMatrix as checked.
     """
-    if isinstance(state, DensityMatrix) and not state.matrix.flags.writeable:
-        rho = state.matrix
-    else:
-        rho = as_density(state)
+    rho = as_density(state)
     try:
         bra = _SETTING_BRAS[setting]
     except (KeyError, TypeError):  # TypeError: an unhashable setting
@@ -196,7 +153,7 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
             f"{MAX_SHOTS_PER_SETTING:g}, got {_shown(shots_per_setting)}"
         )
     seed = _nonnegative_int("seed", seed)
-    rho = DensityMatrix(as_density(state))
+    rho = DensityMatrix(state)
     records = []
     for i, setting in enumerate(SETTINGS):
         rng = np.random.default_rng([seed, i])
@@ -214,7 +171,7 @@ def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
     real = isinstance(shots, numbers.Real) and not isinstance(shots, bool)
     if not (real and 0 < shots <= sys.float_info.max):
         raise ValueError(f"shots must be a finite real number above 0, got {_shown(shots)}")
-    rho = DensityMatrix(as_density(state))
+    rho = DensityMatrix(state)
     scale = float(shots)
     return [
         CountRecord(s, tuple((scale * setting_probabilities(rho, s)).tolist()), scale)

@@ -127,6 +127,14 @@ def test_as_density_accepts_matrix_carrier():
     np.testing.assert_allclose(as_density(Carrier()), MIXED)
 
 
+def test_as_density_takes_a_density_matrix_as_checked():
+    from bellghz import tomo
+
+    assert tomo.DensityMatrix is bellghz.DensityMatrix
+    dm = bellghz.DensityMatrix(MIXED)
+    assert as_density(dm) is dm.matrix
+
+
 def test_correlation_tensor_invariants():
     vals = np.zeros((4, 4, 4, 4))
     with pytest.raises(ValueError, match="unit-trace"):
@@ -550,7 +558,15 @@ UNREADABLE_INPUTS = [
       for name, take in STATE_TAKERS.items()
       for kind, bad in (("object", object()), ("huge-int", 10**400))),
     *((f"biseparable_bounds-{bad!r}", bellghz.biseparable_bounds, bad, "gammas")
-      for bad in (None, 1j, math.nan)),
+      for bad in (None, 1j, math.nan, [1])),
+    ("biseparable_bounds-[huge]", bellghz.biseparable_bounds, [10**5000], "gammas"),
+    # numpy reads these, but not as a 16x16 matrix
+    ("correlations-None", bellghz.correlations, None, "state"),
+    ("fidelity-1j", lambda state: bellghz.fidelity(state, 0.1), 1j, "state"),
+    ("pairwise_witness-[1]", bellghz.pairwise_witness, [1], "state"),
+    ("simulate_counts-[1]", STATE_TAKERS["simulate_counts"], [1], "state"),
+    ("exact_frequency_records-3.5", bellghz.exact_frequency_records, 3.5, "state"),
+    ("CountRecord-one-count", lambda c: bellghz.CountRecord("xxxx", c, 1.0), [1], "counts"),
     ("gamma_for_alpha-branch", lambda b: bellghz.gamma_for_alpha(0.5, branch=b),
      np.array([0.1]), "branch"),
     ("dicke_projection-basis", lambda b: bellghz.dicke_projection(basis=b, outcome="H"),

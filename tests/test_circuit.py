@@ -260,6 +260,11 @@ def test_to_qubits_rejects_bunched_patterns():
         to_qubits(st)
 
 
+def test_to_qubits_rejects_photons_outside_the_output_paths():
+    with pytest.raises(ValueError, match="photons outside the output paths"):
+        to_qubits(spdc_term(2))  # every photon still in the source paths a and b
+
+
 def test_to_qubits_rejects_a_register_without_the_output_paths():
     a_h, a_v = Mode("a", "H"), Mode("a", "V")
     with pytest.raises(ValueError, match="register lacks the output mode"):

@@ -176,6 +176,14 @@ def test_qubit_state_keeps_the_bits_of_valid_vectors():
         assert QubitState4(vec).vec.tobytes() == want.tobytes()
 
 
+def test_zero_state_cannot_be_normalized_or_phase_fixed():
+    zero = QubitState4(np.zeros(16))
+    with pytest.raises(ValueError, match="cannot normalize a zero state"):
+        zero.normalized()
+    with pytest.raises(ValueError, match="cannot fix the phase of a zero state"):
+        zero.canonical()
+
+
 def test_canonical_phase_removes_global_phase():
     st = state_at(0.1).state
     rotated = QubitState4(st.vec * np.exp(0.7j))

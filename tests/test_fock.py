@@ -119,6 +119,11 @@ def test_non_unitary_matrix_rejected():
         ModeTransform((AH, AV), np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
+def test_matrix_shape_must_match_the_modes():
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match 2 modes"):
+        ModeTransform((AH, AV), np.eye(3))
+
+
 def test_unknown_mode_rejected():
     t = ModeTransform((AH, Mode("z", "V")), np.eye(2))
     with pytest.raises(ValueError, match="not present"):
@@ -434,6 +439,17 @@ def test_fock_amplitudes_equal_the_oracles_byte_for_byte(gamma):
         want, want_prob = postselect_by_groups(state, circuit.COINCIDENCE_PATTERN)
         assert amp_bytes(kept) == amp_bytes(want)
         assert prob.hex() == want_prob.hex()
+
+
+def test_apply_transform_on_a_one_mode_register_equals_the_oracle():
+    # one register mode: each output occupation is gathered from a single index
+    rng = np.random.default_rng(96)
+    amps = {(n,): complex(*rng.standard_normal(2)) for n in (3, 0, 1, 5)}
+    state = FockState((AH,), amps)
+    for u in (1.0, -1.0, 1j, np.exp(1j * rng.uniform(0.0, 2 * math.pi))):
+        t = ModeTransform((AH,), np.array([[u]]))
+        assert amp_bytes(apply_transform(state, t)) == amp_bytes(
+            apply_transform_by_terms(state, t))
 
 
 def test_apply_transform_equals_the_oracle_on_signed_zero_amplitudes():

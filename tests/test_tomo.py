@@ -136,7 +136,7 @@ def test_probabilities_sum_to_one():
 def test_count_record_validation():
     with pytest.raises(ValueError, match="unknown setting"):
         CountRecord("aaaa", (0,) * 16, 10.0)
-    with pytest.raises(ValueError, match="16 outcomes"):
+    with pytest.raises(ValueError, match="counts must be 16 numbers"):
         CountRecord("zzzz", (1, 2, 3), 10.0)
     with pytest.raises(ValueError, match="non-negative"):
         CountRecord("zzzz", (-1,) + (0,) * 15, 10.0)
