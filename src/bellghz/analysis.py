@@ -80,11 +80,11 @@ DM_TOL = 1e-9
 THREE_TANGLE_ZERO = 1e-6
 
 
-def as_density(state) -> np.ndarray:
+def as_density(state, name: str = "state") -> np.ndarray:
     """Coerce a state, 16x16 array, or ``.matrix`` carrier to a density matrix.
 
     A read-only DensityMatrix's matrix is returned unchecked; otherwise ValueError,
-    naming ``state``, unless the result is finite and Hermitian with unit trace to within DM_TOL.
+    naming ``name``, unless the result is finite and Hermitian with unit trace to within DM_TOL.
     """
     if isinstance(state, DensityMatrix) and not state.matrix.flags.writeable:
         return state.matrix
@@ -95,18 +95,18 @@ def as_density(state) -> np.ndarray:
             mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(
-                "state must be a QubitState4 or a 16x16 matrix of numbers, "
+                f"{name} must be a QubitState4 or a 16x16 matrix of numbers, "
                 f"got {type(state).__name__}"
             ) from None
     if mat.shape != (16, 16):
-        raise ValueError(f"state must be a 16x16 density matrix, got shape {mat.shape}")
+        raise ValueError(f"{name} must be a 16x16 density matrix, got shape {mat.shape}")
     # the ufuncs' own reductions: .all() and .max() would each add a Python call
     if not np.logical_and.reduce(np.isfinite(mat), axis=None):
-        raise ValueError("state must be a finite density matrix")
+        raise ValueError(f"{name} must be a finite density matrix")
     if np.maximum.reduce(np.abs(mat - mat.conj().T), axis=None) > DM_TOL:
-        raise ValueError("state must be a Hermitian density matrix")
+        raise ValueError(f"{name} must be a Hermitian density matrix")
     if abs(mat.trace() - 1.0) > DM_TOL:
-        raise ValueError("state must be a density matrix with unit trace")
+        raise ValueError(f"{name} must be a density matrix with unit trace")
     return mat
 
 
@@ -154,16 +154,23 @@ class CorrelationTensor:
     """Expectation values T[i,j,k,l] of sigma_i x sigma_j x sigma_k x sigma_l.
 
     Indices run over AXES; entries are real and T_0000 = 1 for any
-    unit-trace input.
+    unit-trace input.  Raises ValueError naming ``values`` unless they
+    are a finite real 4x4x4x4 tensor with those properties.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        try:
+            vals = np.array(self.values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"values must be real numbers, got {type(self.values).__name__}"
+            ) from None
         if vals.shape != (4, 4, 4, 4):
-            raise ValueError("need a 4x4x4x4 real tensor")
-        if abs(vals[0, 0, 0, 0] - 1.0) > DM_TOL or np.abs(vals).max() > 1.0 + DM_TOL:
+            raise ValueError(f"values must be a 4x4x4x4 real tensor, got shape {vals.shape}")
+        # negated, so that a NaN, which fails both comparisons, is rejected too
+        if not (abs(vals[0, 0, 0, 0] - 1.0) <= DM_TOL and np.abs(vals).max() <= 1.0 + DM_TOL):
             raise ValueError("values are not correlations of a unit-trace state")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -187,14 +194,15 @@ class CorrelationTensor:
         return np.abs(self.values.ravel()) > tol
 
 
-def correlations(state) -> CorrelationTensor:
+def correlations(state, name: str = "state") -> CorrelationTensor:
     """Full Pauli correlation tensor of a normalized state or density matrix.
 
     Entry t is Tr(rho sigma_t), the Pauli-sum definition term by term:
     the 16 non-zero products rho[r, r ^ flip] sigma_t[r ^ flip, r], added
-    one after another in row order starting from +0.
+    one after another in row order starting from +0.  ``state`` is read by
+    :func:`as_density`, whose messages name it ``name``.
     """
-    rho = as_density(state)
+    rho = as_density(state, name)
     t = np.add.reduce(rho.ravel()[_GATHER] * _PHASES, axis=0, initial=0.0)
     if np.abs(t.imag).max() > 1e-12:
         raise ValueError("correlations of a Hermitian input must be real")
@@ -269,7 +277,7 @@ def fidelity(rho, gamma: float) -> float:
     """Overlap of rho with the ideal family state at gamma."""
     g = check_gamma(gamma)
     target = state_at(g).state.vec
-    mat = as_density(rho)
+    mat = as_density(rho, "rho")
     return float(np.vdot(target, mat @ target).real)
 
 
@@ -442,12 +450,16 @@ def fidelity_from_cover(rho, gamma: float, cover: SettingCover | None = None) ->
     elif not isinstance(cover, SettingCover):
         raise ValueError(f"cover must be a SettingCover or None, got {_shown(cover)}")
     target = correlations(state_at(g).state)
-    measured = correlations(rho)
+    measured = correlations(rho, "rho")
     covered = np.zeros(len(_TERMS), dtype=bool)
     try:
         covered[[_TERM_INDEX[t] for terms in cover.covered_terms.values() for t in terms]] = True
     except KeyError as exc:
         raise ValueError(f"cover lists an unknown term {_shown(exc.args[0])}") from None
+    except (AttributeError, TypeError):  # not a dict of iterables of hashable labels
+        raise ValueError(
+            f"cover must map settings to term labels, got {_shown(cover.covered_terms)}"
+        ) from None
     missing = np.flatnonzero(target._nonzero() & ~covered)
     if missing.size:
         raise ValueError(

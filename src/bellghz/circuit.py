@@ -13,13 +13,12 @@ photon.
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .family import QubitState4, _nonnegative_int, check_gamma
-from .fock import FockState, Mode, ModeTransform, apply_transform, postselect
+from .fock import FockState, Mode, ModeTransform, _path_pairs, apply_transform, postselect
 
 SPATIALS = "abcdefgh"
 
@@ -156,37 +155,30 @@ class PipelineResult(NamedTuple):
 def to_qubits(state: FockState) -> QubitState4:
     """Read a one-photon-per-output Fock component as four qubits.
 
-    Basis index packs the polarizations in output order, H = 0, V = 1,
-    qubit 1 most significant.
+    The qubits are the output paths in the order of the coincidence table
+    :func:`~bellghz.fock.postselect` reads, the register's order (e, f, g,
+    h for :data:`REGISTER`); the basis index packs their polarizations,
+    H = 0, V = 1, qubit 1 most significant.
     """
-    slots, others = _qubit_slots(tuple(state.register))
+    register = tuple(state.register)
+    table = _path_pairs(register, tuple(COINCIDENCE_PATTERN.items()))
+    for i, j, want in table:
+        # a lone mode is listed as (i, i): its photon would read as V
+        if want and {register[i].pol, register[j].pol} != {"H", "V"}:
+            raise ValueError(f"path {register[i].spatial!r} needs separate H and V modes")
     vec = np.zeros(16, dtype=complex)
     for occ, amp in state.amps.items():
-        if any(map(occ.__getitem__, others)):
-            raise ValueError("photons outside the output paths")
         idx = 0
-        for k, (h, v) in enumerate(slots):
-            nv = occ[v]
-            if occ[h] + nv != 1:
+        for i, j, want in table:
+            if occ[i] + occ[j] != want:
                 raise ValueError(
-                    f"path {OUTPUTS[k]!r} does not hold exactly one photon"
+                    f"path {register[i].spatial!r} does not hold exactly one photon"
+                    if want else "photons outside the output paths"
                 )
-            idx = (idx << 1) | (1 if nv else 0)
+            if want:
+                idx = (idx << 1) | occ[j if register[j].pol == "V" else i]
         vec[idx] = amp
     return QubitState4(vec)
-
-
-@cache
-def _qubit_slots(register: tuple[Mode, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The (H, V) register positions of each output path, in qubit order, and
-    every other position of ``register``."""
-    pos = {m: i for i, m in enumerate(register)}
-    try:
-        slots = tuple((pos[Mode(sp, "H")], pos[Mode(sp, "V")]) for sp in OUTPUTS)
-    except KeyError as exc:
-        raise ValueError(f"register lacks the output mode {exc.args[0]!r}") from None
-    qubit_pos = {i for pair in slots for i in pair}
-    return slots, tuple(i for i in range(len(register)) if i not in qubit_pos)
 
 
 def run_pipeline(gamma: float) -> PipelineResult:

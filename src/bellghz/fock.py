@@ -105,7 +105,8 @@ class ModeTransform:
     """Unitary linear map on a subset of register modes.
 
     ``matrix[l, k]`` is the coefficient of mode ``modes[l]`` in the image
-    of a creation operator on mode ``modes[k]``.
+    of a creation operator on mode ``modes[k]``.  Raises ValueError for a
+    matrix of the wrong shape, with a non-finite entry, or not unitary.
     """
 
     modes: tuple[Mode, ...]
@@ -116,6 +117,8 @@ class ModeTransform:
         k = len(self.modes)
         if u.shape != (k, k):
             raise ValueError(f"matrix shape {u.shape} does not match {k} modes")
+        if not np.isfinite(u).all():  # a NaN deviation would pass the bound below
+            raise ValueError("matrix must hold finite numbers")
         dev = np.max(np.abs(u.conj().T @ u - np.eye(k)))
         if dev > UNITARITY_TOL:
             raise ValueError(

@@ -86,7 +86,7 @@ class CountRecord:
     integers; exact frequency records carry the unrounded expectations.
     Raises ValueError naming the field for an unknown setting, counts
     that are not 16 finite non-negative real numbers, or shots that are
-    not a finite positive real number.
+    not a finite positive real number.  ``counts`` is stored as a tuple.
     """
 
     setting: str
@@ -122,6 +122,8 @@ class CountRecord:
         if not 0 < shots < math.inf:
             raise ValueError("shots must be finite and positive")
         object.__setattr__(self, "shots", shots)
+        if type(counts) is not tuple:  # an array breaks ==, and a list hash()
+            object.__setattr__(self, "counts", tuple(counts))
 
 
 def setting_probabilities(state, setting: str) -> np.ndarray:

@@ -542,29 +542,35 @@ def test_dicke_projection_pm_gives_ghz_class():
         assert res.tangle == pytest.approx(1 / 3, abs=1e-12)
 
 
+# each public call that reads a state, and the name of its parameter
 STATE_TAKERS = {
-    "correlations": bellghz.correlations,
-    "fidelity": lambda state: bellghz.fidelity(state, 0.1),
-    "evaluate_witness": lambda state: bellghz.evaluate_witness(state, 0.1),
-    "pairwise_witness": bellghz.pairwise_witness,
-    "fidelity_from_cover": lambda state: bellghz.fidelity_from_cover(state, 0.1),
-    "exact_frequency_records": bellghz.exact_frequency_records,
-    "simulate_counts": lambda state: bellghz.simulate_counts(state, 100, 1),
+    "correlations": (bellghz.correlations, "state"),
+    "fidelity": (lambda rho: bellghz.fidelity(rho, 0.1), "rho"),
+    "evaluate_witness": (lambda rho: bellghz.evaluate_witness(rho, 0.1), "rho"),
+    "pairwise_witness": (bellghz.pairwise_witness, "state"),
+    "fidelity_from_cover": (lambda rho: bellghz.fidelity_from_cover(rho, 0.1), "rho"),
+    "exact_frequency_records": (bellghz.exact_frequency_records, "state"),
+    "simulate_counts": (lambda state: bellghz.simulate_counts(state, 100, 1), "state"),
 }
+# the maximally mixed state's correlation tensor, with one entry NaN
+ONE_NAN = np.zeros((4, 4, 4, 4))
+ONE_NAN[0, 0, 0, 0], ONE_NAN[1, 2, 3, 0] = 1.0, math.nan
 # public calls on input that numpy or a dict lookup cannot read (it raises
 # TypeError or OverflowError), and the parameter each ValueError must name
 UNREADABLE_INPUTS = [
-    *((f"{name}-{kind}", take, bad, "state")
-      for name, take in STATE_TAKERS.items()
+    *((f"{name}-{kind}", take, bad, parameter)
+      for name, (take, parameter) in STATE_TAKERS.items()
       for kind, bad in (("object", object()), ("huge-int", 10**400))),
     *((f"biseparable_bounds-{bad!r}", bellghz.biseparable_bounds, bad, "gammas")
       for bad in (None, 1j, math.nan, [1])),
     ("biseparable_bounds-[huge]", bellghz.biseparable_bounds, [10**5000], "gammas"),
     # numpy reads these, but not as a 16x16 matrix
     ("correlations-None", bellghz.correlations, None, "state"),
-    ("fidelity-1j", lambda state: bellghz.fidelity(state, 0.1), 1j, "state"),
+    ("fidelity-1j", STATE_TAKERS["fidelity"][0], 1j, "rho"),
+    ("evaluate_witness-None", STATE_TAKERS["evaluate_witness"][0], None, "rho"),
+    ("fidelity_from_cover-[1]", STATE_TAKERS["fidelity_from_cover"][0], [1], "rho"),
     ("pairwise_witness-[1]", bellghz.pairwise_witness, [1], "state"),
-    ("simulate_counts-[1]", STATE_TAKERS["simulate_counts"], [1], "state"),
+    ("simulate_counts-[1]", STATE_TAKERS["simulate_counts"][0], [1], "state"),
     ("exact_frequency_records-3.5", bellghz.exact_frequency_records, 3.5, "state"),
     ("CountRecord-one-count", lambda c: bellghz.CountRecord("xxxx", c, 1.0), [1], "counts"),
     ("gamma_for_alpha-branch", lambda b: bellghz.gamma_for_alpha(0.5, branch=b),
@@ -621,6 +627,16 @@ UNREADABLE_INPUTS = [
      "cover"),
     ("biseparable_bounds-huge", biseparable_bounds, 10**5000, "gammas"),
     ("reconstruct-huge", bellghz.reconstruct, 10**5000, "records"),
+    # a correlation tensor with a NaN entry, which fails both range tests, or unreadable
+    *((f"CorrelationTensor-{kind}", bellghz.CorrelationTensor, bad, "values")
+      for kind, bad in (("all-nan", np.full((4, 4, 4, 4), math.nan)),
+                        ("one-nan", ONE_NAN),
+                        ("1j", 1j), ("huge-int", 10**400), ("object", object()), ("dict", {}))),
+    *((f"fidelity_from_cover-{kind}", lambda c: fidelity_from_cover(MIXED, 0.1, c), cover, "cover")
+      for kind, cover in (("list-terms", SettingCover(("xxxx",), ["x"])),
+                          ("None-terms", SettingCover(None, None)),
+                          ("unhashable-term", SettingCover(("xxxx",), {"xxxx": [["0", "0"]]})),
+                          ("None-term-list", SettingCover(("xxxx",), {"xxxx": None})))),
 ]
 
 

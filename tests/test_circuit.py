@@ -267,8 +267,13 @@ def test_to_qubits_rejects_photons_outside_the_output_paths():
 
 def test_to_qubits_rejects_a_register_without_the_output_paths():
     a_h, a_v = Mode("a", "H"), Mode("a", "V")
-    with pytest.raises(ValueError, match="register lacks the output mode"):
+    with pytest.raises(ValueError, match=r"spatial paths not in register: \['e', 'f', 'g', 'h'\]"):
         to_qubits(FockState((a_h, a_v), {(1, 0): 1.0}))
+    # path e with its H mode alone: that photon must not read as a V bit
+    lone_e = tuple(m for m in REGISTER if m != Mode("e", "V"))
+    one_h_each = tuple(int(m.spatial in OUTPUTS and m.pol == "H") for m in lone_e)
+    with pytest.raises(ValueError, match="path 'e' needs separate H and V modes"):
+        to_qubits(FockState(lone_e, {one_h_each: 1.0}))
 
 
 def source_contributions(gamma):
@@ -335,6 +340,12 @@ def test_to_qubits_equals_the_lookup_oracle():
             kept, prob = postselect(out, COINCIDENCE_PATTERN)
             if prob:
                 assert to_qubits(kept).vec.tobytes() == to_qubits_by_lookup(kept).tobytes()
+                # V before H in path e: the bit is read by label, not by position
+                swap = [REGISTER.index(Mode("e", p)) for p in "VH"]
+                order = [*range(8), *swap, *range(10, 16)]
+                swapped = FockState(tuple(REGISTER[i] for i in order),
+                                    {tuple(occ[i] for i in order): a for occ, a in kept.amps.items()})
+                assert to_qubits(swapped).vec.tobytes() == to_qubits(kept).vec.tobytes()
             # bunched or stray photons: both raise the same error
             for state in (out, FockState(REGISTER, dict(list(out.amps.items())[:5]))):
                 with pytest.raises(ValueError) as got:

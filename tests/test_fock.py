@@ -119,6 +119,12 @@ def test_non_unitary_matrix_rejected():
         ModeTransform((AH, AV), np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
+def test_non_finite_matrix_rejected():
+    # its NaN deviation from unitarity fails no "greater than" test
+    with pytest.raises(ValueError, match="matrix must hold finite numbers"):
+        ModeTransform((AH, AV), np.full((2, 2), np.nan))
+
+
 def test_matrix_shape_must_match_the_modes():
     with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match 2 modes"):
         ModeTransform((AH, AV), np.eye(3))

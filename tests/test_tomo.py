@@ -149,6 +149,15 @@ def test_count_record_validation():
             CountRecord("zzzz", (1,) * 16, bad)
 
 
+def test_count_record_stores_its_counts_as_a_tuple():
+    from_array = CountRecord("xxxx", np.ones(16), 1.0)
+    from_list = CountRecord("xxxx", [1.0] * 16, 1.0)
+    assert from_array.counts == from_list.counts == (1.0,) * 16
+    assert from_array == from_list and hash(from_array) == hash(from_list)
+    counts = (1,) * 16
+    assert CountRecord("xxxx", counts, 1.0).counts is counts
+
+
 def test_simulate_counts_deterministic():
     state = state_at(math.pi / 12).state
     a = simulate_counts(state, 500, seed=3)
