@@ -162,6 +162,9 @@ class CorrelationTensor:
 
     def __post_init__(self):
         try:
+            # numpy casts a complex array to float with a warning only
+            if np.iscomplexobj(self.values):
+                raise TypeError
             vals = np.array(self.values, dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(

@@ -38,10 +38,6 @@ EXIT_IO = 4
 OUTDIR_ENV = "BELLGHZ_OUTDIR"
 
 
-class UsageError(ValueError):
-    """Bad flag value; reported on stderr and mapped to exit code 2, as any ValueError is."""
-
-
 def parse_angle(text: str) -> float:
     """Angle from a radian literal or a pi-suffixed multiple like ``0.125pi``."""
     raw = text.strip().lower()
@@ -53,15 +49,12 @@ def parse_angle(text: str) -> float:
     try:
         value = float(body) * scale
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"cannot parse angle {text!r}; give radians or a pi multiple like 0.125pi"
         ) from None
     from ._checks import check_gamma
 
-    try:
-        return check_gamma(value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return check_gamma(value)
 
 
 def _fmt(value) -> str:
@@ -128,7 +121,7 @@ def _noise_config(text: str | None) -> NoiseConfig:
     try:
         return NoiseConfig.from_json(raw)
     except ValueError as exc:
-        raise UsageError(f"bad noise config: {exc}") from None
+        raise ValueError(f"bad noise config: {exc}") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -178,7 +171,7 @@ def _cmd_derive(args) -> str:
 
 def _cmd_sweep(args) -> str:
     if args.steps < 2:
-        raise UsageError(f"steps must be at least 2, got {args.steps}")
+        raise ValueError(f"steps must be at least 2, got {args.steps}")
     import numpy as np
 
     from . import analysis, family
@@ -308,12 +301,12 @@ def _cmd_tomo(args) -> str:
     from ._checks import MAX_SHOTS_PER_SETTING
 
     if args.shots is not None and not 1 <= args.shots <= MAX_SHOTS_PER_SETTING:
-        raise UsageError(
+        raise ValueError(
             f"shots_per_setting must be at least 1 and at most {MAX_SHOTS_PER_SETTING:g}, "
             f"got {args.shots}"
         )
     if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = _noise_config(args.noise_json)
     from .analysis import pairwise_witness
     from .tomo import reconstruct_and_report

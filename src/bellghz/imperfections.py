@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -131,45 +131,17 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     return rho, total
 
 
-def _emission_orders(g: float, cfg: NoiseConfig):
-    """(ideal state, weight_double, c3, rho3, q3) of the two leading emission orders.
-
-    The six-photon weight is c3 * q3; at unit efficiency c3 is 0 and rho3 None.
-    """
-    from .circuit import run_pipeline
-
-    tau, eta = cfg.pair_probability, cfg.efficiency
-    ideal, p = run_pipeline(g)
-    weight_double = 3.0 * tau**4 * eta**4 * p
-    c3 = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2
-    rho3, q3 = _third_order_branches(g) if c3 else (None, 0.0)
-    return ideal, weight_double, c3, rho3, q3
-
-
 def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float]:
     """Fidelity and relative rate of four-folds once six-photon events leak in.
 
     A six-photon emission contributes only when exactly two photons are
     lost, so unit efficiency gives no reduction at all. The returned
     weight is the four-fold event rate per pulse to the two leading
-    emission orders.
+    emission orders. Visibility and white noise leave both unchanged.
     """
     g = check_gamma(gamma)
     _check_config(cfg)
-    if cfg.pair_probability == 0.0:
-        return 1.0, 0.0
-    return _fourfolds(_emission_orders(g, cfg))
-
-
-def _fourfolds(orders) -> tuple[float, float]:
-    """Four-fold fidelity and weight from the result of :func:`_emission_orders`."""
-    ideal, weight_double, c3, rho3, q3 = orders
-    weight_triple = c3 * q3
-    if weight_triple == 0.0:
-        return 1.0, weight_double
-    overlap3 = float(np.vdot(ideal.vec, rho3 @ ideal.vec).real)
-    fidelity = (weight_double + c3 * overlap3) / (weight_double + weight_triple)
-    return fidelity, weight_double + weight_triple
+    return noise_report(g, replace(cfg, visibility=1.0, depolarizing_q=0.0))[:2]
 
 
 def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.ndarray:
@@ -213,33 +185,37 @@ def noisy_density_matrix(gamma: float, cfg: NoiseConfig) -> np.ndarray:
     """
     g = check_gamma(gamma)
     _check_config(cfg)
-    leaks = cfg.pair_probability > 0.0 and cfg.efficiency < 1.0
-    return _noisy_state(g, cfg, _emission_orders(g, cfg) if leaks else None)
-
-
-def _noisy_state(g: float, cfg: NoiseConfig, orders) -> np.ndarray:
-    """The noisy state at a checked angle, mixing in the six-photon branch
-    of ``orders`` (the result of :func:`_emission_orders`, or None)."""
-    rho = visibility_noise(state_at(g).state, g, cfg)
-    if orders is not None:
-        _, weight_double, c3, rho3, q3 = orders
-        weight_triple = c3 * q3
-        if weight_triple > 0.0:
-            total = weight_double + weight_triple
-            rho = (weight_double * rho + weight_triple * rho3 / q3) / total
-    return depolarize(rho, cfg.depolarizing_q)
+    if cfg.efficiency == 1.0:
+        # no six-photon event leaks in, so the pipeline need not run
+        cfg = replace(cfg, pair_probability=0.0)
+    return noise_report(g, cfg)[2]
 
 
 def noise_report(gamma: float, cfg: NoiseConfig) -> tuple[float, float, np.ndarray]:
     """(four-fold fidelity, four-fold weight, noisy state) from one emission expansion.
 
-    The same bits as :func:`higher_order_fourfolds` followed by
-    :func:`noisy_density_matrix`, with the pipeline and the six-photon
-    loss branches computed once instead of twice.
+    The double-pair emission reaches a four-fold with weight
+    3 tau^4 eta^4 p(gamma), the six-photon emission with weight c3 q3,
+    where c3 = 4 tau^6 eta^4 (1-eta)^2 and q3 sums its loss branches. The
+    four-fold fidelity and the state mix the two orders by these weights;
+    the state also carries the visibility and white-noise terms.
     """
     g = check_gamma(gamma)
     _check_config(cfg)
-    if cfg.pair_probability == 0.0:
-        return 1.0, 0.0, _noisy_state(g, cfg, None)
-    orders = _emission_orders(g, cfg)
-    return (*_fourfolds(orders), _noisy_state(g, cfg, orders))
+    rho = visibility_noise(state_at(g).state, g, cfg)
+    fidelity, weight = 1.0, 0.0
+    tau, eta = cfg.pair_probability, cfg.efficiency
+    if tau != 0.0:
+        from .circuit import run_pipeline
+
+        ideal, p = run_pipeline(g)
+        weight = weight_double = 3.0 * tau**4 * eta**4 * p
+        c3 = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2
+        rho3, q3 = _third_order_branches(g) if c3 else (None, 0.0)
+        weight_triple = c3 * q3
+        if weight_triple != 0.0:
+            overlap3 = float(np.vdot(ideal.vec, rho3 @ ideal.vec).real)
+            weight = weight_double + weight_triple
+            fidelity = (weight_double + c3 * overlap3) / weight
+            rho = (weight_double * rho + weight_triple * rho3 / q3) / weight
+    return fidelity, weight, depolarize(rho, cfg.depolarizing_q)

@@ -267,6 +267,7 @@ def reconstruct_and_report(
     """
     g = check_gamma(gamma)
     rho = noisy_density_matrix(g, cfg)
+    _nonnegative_int("seed", seed)
     if shots is None:
         records = exact_frequency_records(rho)
     else:

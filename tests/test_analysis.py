@@ -631,12 +631,18 @@ UNREADABLE_INPUTS = [
     *((f"CorrelationTensor-{kind}", bellghz.CorrelationTensor, bad, "values")
       for kind, bad in (("all-nan", np.full((4, 4, 4, 4), math.nan)),
                         ("one-nan", ONE_NAN),
-                        ("1j", 1j), ("huge-int", 10**400), ("object", object()), ("dict", {}))),
+                        ("1j", 1j), ("huge-int", 10**400), ("object", object()), ("dict", {}),
+                        # numpy casts it to float with a warning only
+                        ("complex", correlations(MIXED).values + 0.5j))),
     *((f"fidelity_from_cover-{kind}", lambda c: fidelity_from_cover(MIXED, 0.1, c), cover, "cover")
       for kind, cover in (("list-terms", SettingCover(("xxxx",), ["x"])),
                           ("None-terms", SettingCover(None, None)),
                           ("unhashable-term", SettingCover(("xxxx",), {"xxxx": [["0", "0"]]})),
                           ("None-term-list", SettingCover(("xxxx",), {"xxxx": None})))),
+    # exact frequencies draw nothing, so only the sampled branch used to read the seed
+    *((f"reconstruct_and_report-exact-seed-{bad!r}",
+       lambda s: bellghz.reconstruct_and_report(0.1, bellghz.NoiseConfig(), seed=s), bad, "seed")
+      for bad in (-1, None, 3.5)),
 ]
 
 

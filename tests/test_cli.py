@@ -78,9 +78,9 @@ def test_parse_angle():
     assert cli.parse_angle("0") == 0.0
     assert math.copysign(1.0, cli.parse_angle("-0")) == 1.0
     assert cli.parse_angle(" 0.25PI ") == pytest.approx(math.pi / 4)
-    with pytest.raises(cli.UsageError, match="pi/4"):
+    with pytest.raises(ValueError, match="pi/4"):
         cli.parse_angle("0.3pi")
-    with pytest.raises(cli.UsageError, match="cannot parse"):
+    with pytest.raises(ValueError, match="cannot parse"):
         cli.parse_angle("twelve")
 
 

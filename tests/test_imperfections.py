@@ -190,6 +190,62 @@ def test_noisy_density_matrix_is_physical():
         assert fidelity(rho, g) < 1.0
 
 
+def _emission_orders(g, cfg):
+    """(ideal state, weight_double, c3, rho3, q3) of the two leading emission orders.
+
+    The six-photon weight is c3 * q3; at unit efficiency c3 is 0 and rho3 None.
+    """
+    tau, eta = cfg.pair_probability, cfg.efficiency
+    ideal, p = run_pipeline(g)
+    weight_double = 3.0 * tau**4 * eta**4 * p
+    c3 = 4.0 * tau**6 * eta**4 * (1.0 - eta) ** 2
+    rho3, q3 = _third_order_branches(g) if c3 else (None, 0.0)
+    return ideal, weight_double, c3, rho3, q3
+
+
+def _fourfolds(orders):
+    """Four-fold fidelity and weight from the result of :func:`_emission_orders`."""
+    ideal, weight_double, c3, rho3, q3 = orders
+    weight_triple = c3 * q3
+    if weight_triple == 0.0:
+        return 1.0, weight_double
+    overlap3 = float(np.vdot(ideal.vec, rho3 @ ideal.vec).real)
+    fidelity = (weight_double + c3 * overlap3) / (weight_double + weight_triple)
+    return fidelity, weight_double + weight_triple
+
+
+def _noisy_state(g, cfg, orders):
+    """The noisy state at a checked angle, mixing in the six-photon branch
+    of ``orders`` (the result of :func:`_emission_orders`, or None)."""
+    rho = visibility_noise(state_at(g).state, g, cfg)
+    if orders is not None:
+        _, weight_double, c3, rho3, q3 = orders
+        weight_triple = c3 * q3
+        if weight_triple > 0.0:
+            total = weight_double + weight_triple
+            rho = (weight_double * rho + weight_triple * rho3 / q3) / total
+    return depolarize(rho, cfg.depolarizing_q)
+
+
+def noise_by_emission_orders(g, cfg):
+    """(higher_order_fourfolds, noisy_density_matrix, noise_report) as three separate
+    compositions of the helpers above: the noise model before ``noise_report`` was
+    its one evaluation, kept as its oracle."""
+    fourfolds = (1.0, 0.0) if cfg.pair_probability == 0.0 else _fourfolds(_emission_orders(g, cfg))
+    leaks = cfg.pair_probability > 0.0 and cfg.efficiency < 1.0
+    state = _noisy_state(g, cfg, _emission_orders(g, cfg) if leaks else None)
+    if cfg.pair_probability == 0.0:
+        report = 1.0, 0.0, _noisy_state(g, cfg, None)
+    else:
+        orders = _emission_orders(g, cfg)
+        report = (*_fourfolds(orders), _noisy_state(g, cfg, orders))
+    return fourfolds, state, report
+
+
+def typed_bytes(values):
+    return [(type(v), np.asarray(v).tobytes()) for v in values]
+
+
 def test_noise_report_equals_the_two_separate_calls():
     rng = np.random.default_rng(6)
     gammas = [e.gamma for e in catalog()] + [0.098 * math.pi]
@@ -201,10 +257,28 @@ def test_noise_report_equals_the_two_separate_calls():
             visibility=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])),
             depolarizing_q=rng.uniform(0.0, 0.2),
         )
-        fourfold_fidelity, weight, rho = noise_report(gamma, cfg)
-        separate = (*higher_order_fourfolds(gamma, cfg), noisy_density_matrix(gamma, cfg))
-        raw = [np.asarray(v).tobytes() for v in (fourfold_fidelity, weight, rho)]
-        assert raw == [np.asarray(v).tobytes() for v in separate], (gamma, cfg)
+        fourfolds, state, report = noise_by_emission_orders(gamma, cfg)
+        got = (higher_order_fourfolds(gamma, cfg), [noisy_density_matrix(gamma, cfg)],
+               noise_report(gamma, cfg))
+        want = (fourfolds, [state], report)
+        assert [typed_bytes(v) for v in got] == [typed_bytes(v) for v in want], (gamma, cfg)
+        assert typed_bytes(report) == typed_bytes([*fourfolds, state]), (gamma, cfg)
+
+
+def test_noise_views_skip_what_their_outputs_do_not_depend_on(monkeypatch):
+    def refuse(gamma):
+        raise AssertionError("called for an output that does not depend on it")
+
+    with monkeypatch.context() as m:
+        # the four-folds do not see the visibility
+        m.setattr(circuit, "source_term_coincidences", refuse)
+        higher_order_fourfolds(0.3, NoiseConfig(pair_probability=0.05, efficiency=0.3,
+                                                visibility=0.5))
+    with monkeypatch.context() as m:
+        # no six-photon event leaks in at unit efficiency
+        m.setattr(circuit, "run_pipeline", refuse)
+        noisy_density_matrix(0.3, NoiseConfig(pair_probability=0.05, efficiency=1.0,
+                                              visibility=0.5, depolarizing_q=0.1))
 
 
 def test_noisy_fidelity_dips_in_the_interior():
