@@ -1,8 +1,8 @@
 """Input checks that need no numpy.
 
 The CLI runs them on its flags before any command loads numpy, so a
-usage error costs no numeric import; :mod:`bellghz.family` re-exports
-them for the library.
+usage error costs no numeric import; the library modules import them
+from here.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         # np.array keeps the input's memory order, on which later products' last bits depend
-        mat = np.array(as_density(self.matrix))
+        mat = np.array(as_density(self.matrix, "matrix"))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

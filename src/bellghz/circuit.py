@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .family import QubitState4, _nonnegative_int, check_gamma
+from ._checks import _nonnegative_int, check_gamma
+from .family import QubitState4
 from .fock import FockState, Mode, ModeTransform, _path_pairs, apply_transform, postselect
 
 SPATIALS = "abcdefgh"

@@ -109,15 +109,19 @@ def _basis_label(index: int) -> str:
 
 
 def _noise_config(text: str | None) -> NoiseConfig:
-    """Noise settings from an inline JSON object or a file containing one."""
+    """Noise settings from inline JSON (text that starts with ``{`` or parses
+    as JSON) or from the file any other text names."""
     from .imperfections import NoiseConfig
 
     if text is None:
         return NoiseConfig()
     raw = text.strip()
     if not raw.startswith("{"):
-        with open(raw, encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            json.loads(raw)
+        except ValueError:
+            with open(raw, encoding="utf-8") as fh:
+                raw = fh.read()
     try:
         return NoiseConfig.from_json(raw)
     except ValueError as exc:

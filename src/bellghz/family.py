@@ -31,9 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# the checks live where the CLI can run them without numpy; re-exported here
+# the checks live where the CLI can run them without numpy
 from ._checks import GAMMA_MAX, GAMMA_MIN, _real, _shown, check_gamma
-from ._checks import _nonnegative_int  # noqa: F401
 
 #: Modulus classes of the correlation tensor, named by one representative
 #: index string over {0, x, y, z} (0 = identity slot).

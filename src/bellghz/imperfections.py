@@ -20,8 +20,8 @@ from itertools import chain
 
 import numpy as np
 
-from ._checks import _parse, _shown
-from .family import QubitState4, _real, check_gamma, state_at
+from ._checks import _parse, _real, _shown, check_gamma
+from .family import state_at
 
 #: Largest pair-emission strength the truncated expansion supports;
 #: beyond this the neglected fourth order is no longer subleading.
@@ -144,38 +144,6 @@ def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float
     return noise_report(g, replace(cfg, visibility=1.0, depolarizing_q=0.0))[:2]
 
 
-def visibility_noise(state: QubitState4, gamma: float, cfg: NoiseConfig) -> np.ndarray:
-    """Mix the ideal state with the distinguishable-photon outcome.
-
-    With visibility V the output is V |psi><psi| + (1-V) rho_dist, where
-    rho_dist propagates each emission term separately and sums outcome
-    probabilities instead of amplitudes. Where terms feed disjoint
-    outcomes (gamma = 0 or pi/4) the populations are untouched.  Raises
-    ValueError unless ``state`` is a QubitState4 and ``cfg`` a NoiseConfig.
-    """
-    if not isinstance(state, QubitState4):
-        raise ValueError(f"state must be a QubitState4, got {_shown(state)}")
-    g = check_gamma(gamma)
-    _check_config(cfg)
-    v = cfg.visibility
-    ideal = state.density()
-    if v == 1.0:
-        return ideal
-    from .circuit import source_term_coincidences
-
-    terms = source_term_coincidences(g)
-    mixture = sum(weight * np.outer(phi, phi.conj()) for weight, phi in terms)
-    total = sum(weight for weight, _ in terms)
-    return v * ideal + (1.0 - v) * mixture / total
-
-
-def depolarize(rho: np.ndarray, q: float) -> np.ndarray:
-    """White-noise admixture (1-q) rho + q I/16."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("depolarizing fraction must lie in [0, 1]")
-    return (1.0 - q) * rho + q * np.eye(16, dtype=complex) / 16.0
-
-
 def noisy_density_matrix(gamma: float, cfg: NoiseConfig) -> np.ndarray:
     """Four-qubit state of the pipeline under the full noise configuration.
 
@@ -197,12 +165,23 @@ def noise_report(gamma: float, cfg: NoiseConfig) -> tuple[float, float, np.ndarr
     The double-pair emission reaches a four-fold with weight
     3 tau^4 eta^4 p(gamma), the six-photon emission with weight c3 q3,
     where c3 = 4 tau^6 eta^4 (1-eta)^2 and q3 sums its loss branches. The
-    four-fold fidelity and the state mix the two orders by these weights;
-    the state also carries the visibility and white-noise terms.
+    four-fold fidelity and the state mix the two orders by these weights.
+    At visibility V the double-pair state is V |psi><psi| + (1-V) rho_dist,
+    where rho_dist sums the emission terms' outcome probabilities instead of
+    amplitudes (at gamma = 0 and pi/4 the populations are untouched), and
+    white noise q makes the final state (1-q) rho + q I/16.
     """
     g = check_gamma(gamma)
     _check_config(cfg)
-    rho = visibility_noise(state_at(g).state, g, cfg)
+    rho = state_at(g).state.density()
+    v = cfg.visibility
+    if v != 1.0:
+        from .circuit import source_term_coincidences
+
+        terms = source_term_coincidences(g)
+        mixture = sum(weight * np.outer(phi, phi.conj()) for weight, phi in terms)
+        total = sum(weight for weight, _ in terms)
+        rho = v * rho + (1.0 - v) * mixture / total
     fidelity, weight = 1.0, 0.0
     tau, eta = cfg.pair_probability, cfg.efficiency
     if tau != 0.0:
@@ -218,4 +197,5 @@ def noise_report(gamma: float, cfg: NoiseConfig) -> tuple[float, float, np.ndarr
             weight = weight_double + weight_triple
             fidelity = (weight_double + c3 * overlap3) / weight
             rho = (weight_double * rho + weight_triple * rho3 / q3) / weight
-    return fidelity, weight, depolarize(rho, cfg.depolarizing_q)
+    q = cfg.depolarizing_q
+    return fidelity, weight, (1.0 - q) * rho + q * np.eye(16, dtype=complex) / 16.0

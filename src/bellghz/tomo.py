@@ -25,8 +25,10 @@ from .analysis import (
     SETTINGS, DensityMatrix, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density,
     evaluate_witness,
 )
-from ._checks import MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _parse, _shown
-from .family import _nonnegative_int, _real, check_gamma
+from ._checks import (
+    MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _nonnegative_int, _parse, _real, _shown,
+    check_gamma,
+)
 from .imperfections import NoiseConfig, noisy_density_matrix
 
 _SETTING_INDEX = {s: i for i, s in enumerate(SETTINGS)}
@@ -155,7 +157,7 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
             f"{MAX_SHOTS_PER_SETTING:g}, got {_shown(shots_per_setting)}"
         )
     seed = _nonnegative_int("seed", seed)
-    rho = DensityMatrix(state)
+    rho = DensityMatrix(as_density(state))
     records = []
     for i, setting in enumerate(SETTINGS):
         rng = np.random.default_rng([seed, i])
@@ -173,7 +175,7 @@ def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
     real = isinstance(shots, numbers.Real) and not isinstance(shots, bool)
     if not (real and 0 < shots <= sys.float_info.max):
         raise ValueError(f"shots must be a finite real number above 0, got {_shown(shots)}")
-    rho = DensityMatrix(state)
+    rho = DensityMatrix(as_density(state))
     scale = float(shots)
     return [
         CountRecord(s, tuple((scale * setting_probabilities(rho, s)).tolist()), scale)

@@ -590,7 +590,7 @@ UNREADABLE_INPUTS = [
     ("biseparable_bounds-str", biseparable_bounds, "1", "gammas"),
     *((f"QubitState4-{kind}", QubitState4, bad, "vec")
       for kind, bad in (("object", object()), ("huge-int", 10**400), ("ragged", [[1, 2], [3]]))),
-    *((f"DensityMatrix-{kind}", bellghz.DensityMatrix, bad, "matrix")
+    *((f"DensityMatrix-{kind}", bellghz.DensityMatrix, bad, "^matrix ")
       for kind, bad in (("object", object()), ("huge-int", 10**400))),
     ("setting_probabilities-unhashable", lambda s: setting_probabilities(MIXED, s), [1],
      "setting"),

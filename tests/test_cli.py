@@ -278,6 +278,15 @@ def test_every_noise_command_rejects_the_same_configs(command, noise, capsys):
     assert "bad noise config" in err
 
 
+@pytest.mark.parametrize("command", ["witness", "tomo", "noise"])
+@pytest.mark.parametrize("noise", ["[1]", "null", "0.1", '"x"', "true"])
+def test_noise_json_that_is_not_an_object_is_a_bad_config_not_a_path(command, noise, capsys):
+    code, out, err = run([command, "--gamma", "0.1", "--noise-json", noise], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad noise config: noise configuration must be a JSON object" in err
+
+
 def test_noise_json_from_file(tmp_path, capsys):
     cfg = tmp_path / "noise.json"
     cfg.write_text('{"pair_probability": 0.05, "efficiency": 0.2}')
@@ -394,7 +403,7 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
     noise = st.sampled_from([
         '{"depolarizing_q": 0.1}', '{"visibility": 0.9, "pair_probability": 0.01}',
         '{"bogus": 1}', '{"efficiency": true}', '{"pair_probability": 0.5}', "{",
-        str(good), str(bad), str(tmp_path / "missing.json"), str(tmp_path),
+        "[1]", "null", "0.1", str(good), str(bad), str(tmp_path / "missing.json"), str(tmp_path),
     ])
     gamma = st.one_of(
         st.sampled_from(["nan", "inf", "-inf", "-0", "0", "0.3pi", "", "pi", "0.25pi",
@@ -449,6 +458,9 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
             assert out == "" and err != ""
         # a flag given twice takes its last value
         last = {flag: i + 1 for i, flag in enumerate(argv[:-1]) if flag.startswith("--")}
+        if "--noise-json" in last and argv[last["--noise-json"]] in ("[1]", "null", "0.1"):
+            # JSON that is not an object is a bad config whether or not the command takes it
+            assert code == 2
         if code == 0 and "--out" in last:
             with open(argv[last["--out"]], encoding="utf-8") as fh:
                 out = fh.read()

@@ -392,6 +392,65 @@ def test_apply_transform_equals_the_term_by_term_oracle_on_random_unitaries():
             assert_same_bits(apply_transform(state, t), apply_transform_by_terms(state, t))
 
 
+def _glynn_permanents(mats):
+    """Permanents of a stack of n x n matrices by Glynn's formula,
+    Perm A = 2^(1-n) sum over d in {+-1}^n with d_0 = 1 of prod_k d_k prod_j sum_i d_i A_ij."""
+    n = mats.shape[-1]
+    if n == 0:
+        return np.ones(len(mats), dtype=complex)
+    deltas = np.array([(1, *d) for d in itertools.product((1, -1), repeat=n - 1)], dtype=float)
+    sums = np.einsum("dk,bkj->bdj", deltas, mats)
+    return (sums.prod(axis=2) @ deltas.prod(axis=1)) / 2 ** (n - 1)
+
+
+def amplitudes_by_permanents(state, u, outputs):
+    """<n|U|state> for each occupation n in ``outputs``, all terms with one photon number.
+
+    The amplitude from input occupation m to n is Perm(U[n, m]) / sqrt(prod n_i! prod m_j!),
+    where U's rows (outputs) repeat by n and its columns (inputs) by m (Scheel,
+    quant-ph/0406127). It shares nothing with the operator substitution of ``apply_transform``.
+    """
+    modes = np.arange(len(u))
+    rows = np.array([np.repeat(modes, n) for n in outputs])
+    row_facts = np.array([math.prod(map(math.factorial, n)) for n in outputs], dtype=float)
+    amps = np.zeros(len(outputs), dtype=complex)
+    for occ, amp in state.amps.items():
+        perms = _glynn_permanents(u[rows][:, :, np.repeat(modes, occ)])
+        amps += amp * perms / np.sqrt(row_facts * math.prod(map(math.factorial, occ)))
+    return amps
+
+
+def assert_equals_the_permanent_oracle(state, t):
+    got = apply_transform(state, t)
+    outputs = list(got.amps)
+    assert {sum(n) for n in outputs} == {sum(m) for m in state.amps}
+    want = amplitudes_by_permanents(state, t.embedded(state.register), outputs)
+    np.testing.assert_allclose(np.array(list(got.amps.values())), want, rtol=0, atol=1e-13)
+    # unit norm in the returned amplitudes: no output is missing
+    assert abs(got.norm_sq() - 1.0) <= 1e-12
+
+
+def test_apply_transform_equals_the_permanent_oracle():
+    rng = np.random.default_rng(94)
+    for nmodes in range(2, 9):
+        reg = tuple(Mode(f"m{i}", "H") for i in range(nmodes))
+        for total in (*rng.integers(0, 6, 2).tolist(), 6):
+            amps = {}
+            for _ in range(int(rng.integers(1, 4))):
+                occ = np.bincount(rng.integers(0, nmodes, total), minlength=nmodes)
+                amps[tuple(occ.tolist())] = complex(*rng.standard_normal(2))
+            state = FockState(reg, amps).normalized()
+            # a transform on a shuffled subset of the register, identity elsewhere
+            k = int(rng.integers(2, nmodes + 1))
+            modes = tuple(reg[i] for i in rng.permutation(nmodes)[:k])
+            assert_equals_the_permanent_oracle(state, ModeTransform(modes, haar_unitary(k, rng)))
+    angles = [0.0, math.pi / 8, math.pi / 4, *rng.uniform(0.0, math.pi / 4, 3).tolist()]
+    for gamma in angles:
+        for order in (2, 3):
+            assert_equals_the_permanent_oracle(circuit.spdc_term(order),
+                                               circuit.pipeline_transform(gamma))
+
+
 def postselect_by_groups(state, pattern):
     """The ``postselect`` that built its path pairs on every call, kept as its oracle."""
     groups = {}

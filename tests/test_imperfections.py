@@ -16,6 +16,7 @@ from bellghz.circuit import (
     SPATIALS,
     pipeline_transform,
     run_pipeline,
+    source_term_coincidences,
     spdc_term,
     to_qubits,
 )
@@ -25,11 +26,9 @@ from bellghz.imperfections import (
     MAX_PAIR_PROBABILITY,
     NoiseConfig,
     _third_order_branches,
-    depolarize,
     higher_order_fourfolds,
     noise_report,
     noisy_density_matrix,
-    visibility_noise,
 )
 
 LOSSY = NoiseConfig(pair_probability=0.05, efficiency=0.2)
@@ -120,13 +119,12 @@ def test_higher_order_fidelity_and_weight_ranges():
 
 
 def test_visibility_one_is_exact():
-    st = state_at(0.1).state
-    np.testing.assert_array_equal(visibility_noise(st, 0.1, NoiseConfig()), st.density())
+    np.testing.assert_array_equal(noisy_density_matrix(0.1, NoiseConfig()),
+                                  state_at(0.1).state.density())
 
 
 def test_visibility_zero_kills_ghz_coherence():
-    rho = visibility_noise(state_at(math.pi / 8).state, math.pi / 8,
-                           NoiseConfig(visibility=0.0))
+    rho = noisy_density_matrix(math.pi / 8, NoiseConfig(visibility=0.0))
     assert rho[3, 3].real == pytest.approx(0.5, abs=1e-12)
     assert rho[12, 12].real == pytest.approx(0.5, abs=1e-12)
     assert abs(rho[3, 12]) <= 1e-12
@@ -136,23 +134,22 @@ def test_visibility_zero_kills_ghz_coherence():
 
 @pytest.mark.parametrize("gamma", [0.0, math.pi / 4])
 def test_visibility_preserves_populations_at_filter_points(gamma):
-    ideal = state_at(gamma).state
-    rho = visibility_noise(ideal, gamma, NoiseConfig(visibility=0.0))
-    np.testing.assert_allclose(np.diag(rho), np.diag(ideal.density()), atol=1e-12)
+    rho = noisy_density_matrix(gamma, NoiseConfig(visibility=0.0))
+    np.testing.assert_allclose(np.diag(rho), np.diag(state_at(gamma).state.density()),
+                               atol=1e-12)
 
 
 def test_visibility_harmless_at_gamma_zero():
     ideal = state_at(0.0).state
     for v in (0.0, 0.5, 0.9):
-        rho = visibility_noise(ideal, 0.0, NoiseConfig(visibility=v))
+        rho = noisy_density_matrix(0.0, NoiseConfig(visibility=v))
         np.testing.assert_allclose(rho, ideal.density(), atol=1e-13)
 
 
 def test_visibility_fidelity_non_increasing():
     for g in np.linspace(0.0, math.pi / 4, 11):
-        st = state_at(g).state
         fids = [
-            fidelity(visibility_noise(st, g, NoiseConfig(visibility=v)), g)
+            fidelity(noisy_density_matrix(g, NoiseConfig(visibility=v)), g)
             for v in (1.0, 0.9, 0.7, 0.3, 0.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
@@ -162,8 +159,8 @@ def test_visibility_fidelity_non_increasing():
 def test_depolarize_white_noise_fidelity():
     rho = noisy_density_matrix(math.pi / 8, NoiseConfig(depolarizing_q=0.2))
     assert fidelity(rho, math.pi / 8) == pytest.approx(0.8 + 0.2 / 16, abs=1e-12)
-    with pytest.raises(ValueError):
-        depolarize(np.eye(16) / 16, 1.2)
+    with pytest.raises(ValueError, match="depolarizing_q"):
+        noisy_density_matrix(math.pi / 8, NoiseConfig(depolarizing_q=1.2))
 
 
 def test_noisy_density_matrix_default_is_projector():
@@ -214,17 +211,34 @@ def _fourfolds(orders):
     return fidelity, weight_double + weight_triple
 
 
+def _visibility_noise(state, gamma, cfg):
+    """The visibility mixture as it was written before ``noise_report`` took it over."""
+    v = cfg.visibility
+    ideal = state.density()
+    if v == 1.0:
+        return ideal
+    terms = source_term_coincidences(gamma)
+    mixture = sum(weight * np.outer(phi, phi.conj()) for weight, phi in terms)
+    total = sum(weight for weight, _ in terms)
+    return v * ideal + (1.0 - v) * mixture / total
+
+
+def _depolarize(rho, q):
+    """The white-noise admixture as it was written before ``noise_report`` took it over."""
+    return (1.0 - q) * rho + q * np.eye(16, dtype=complex) / 16.0
+
+
 def _noisy_state(g, cfg, orders):
     """The noisy state at a checked angle, mixing in the six-photon branch
     of ``orders`` (the result of :func:`_emission_orders`, or None)."""
-    rho = visibility_noise(state_at(g).state, g, cfg)
+    rho = _visibility_noise(state_at(g).state, g, cfg)
     if orders is not None:
         _, weight_double, c3, rho3, q3 = orders
         weight_triple = c3 * q3
         if weight_triple > 0.0:
             total = weight_double + weight_triple
             rho = (weight_double * rho + weight_triple * rho3 / q3) / total
-    return depolarize(rho, cfg.depolarizing_q)
+    return _depolarize(rho, cfg.depolarizing_q)
 
 
 def noise_by_emission_orders(g, cfg):
@@ -444,17 +458,10 @@ def test_third_order_branches_equal_the_path_list_oracle_byte_for_byte():
     lambda: noisy_density_matrix(0.1, {}),
     lambda: noise_report(0.1, None),
     lambda: noise_report(0.1, {"pair_probability": 0.05}),
-    lambda: visibility_noise(state_at(0.1).state, 0.1, None),
 ])
 def test_noise_functions_reject_a_config_that_is_not_a_noise_config(call):
     with pytest.raises(ValueError, match="cfg must be a NoiseConfig"):
         call()
-
-
-@pytest.mark.parametrize("state", ["x", None, np.eye(16)[0], state_at(0.1).state.density()])
-def test_visibility_noise_rejects_a_state_that_is_not_a_qubit_state(state):
-    with pytest.raises(ValueError, match="state must be a QubitState4"):
-        visibility_noise(state, 0.1, NoiseConfig(visibility=0.9))
 
 
 def test_from_json_rejects_unknown_keys_with_a_value_error():

@@ -123,7 +123,7 @@ def test_numpy_free_checks_are_the_ones_family_exports():
     assert "numpy" not in modules
     from bellghz import _checks, family, tomo
 
-    for name in ("GAMMA_MIN", "GAMMA_MAX", "_real", "_nonnegative_int", "check_gamma"):
+    for name in ("GAMMA_MIN", "GAMMA_MAX", "_real", "check_gamma"):
         assert getattr(family, name) is getattr(_checks, name)
     assert tomo.MAX_SHOTS_PER_SETTING is _checks.MAX_SHOTS_PER_SETTING
     assert tomo.RECONSTRUCTION_METHODS is _checks.RECONSTRUCTION_METHODS
