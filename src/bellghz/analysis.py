@@ -197,15 +197,18 @@ class CorrelationTensor:
         return np.abs(self.values.ravel()) > tol
 
 
-def correlations(state, name: str = "state") -> CorrelationTensor:
-    """Full Pauli correlation tensor of a normalized state or density matrix.
+def correlations(state) -> CorrelationTensor:
+    """Full Pauli correlation tensor of a normalized state or density matrix."""
+    return _correlations(as_density(state))
+
+
+def _correlations(rho: np.ndarray) -> CorrelationTensor:
+    """Correlation tensor of a density matrix that :func:`as_density` checked.
 
     Entry t is Tr(rho sigma_t), the Pauli-sum definition term by term:
     the 16 non-zero products rho[r, r ^ flip] sigma_t[r ^ flip, r], added
-    one after another in row order starting from +0.  ``state`` is read by
-    :func:`as_density`, whose messages name it ``name``.
+    one after another in row order starting from +0.
     """
-    rho = as_density(state, name)
     t = np.add.reduce(rho.ravel()[_GATHER] * _PHASES, axis=0, initial=0.0)
     if np.abs(t.imag).max() > 1e-12:
         raise ValueError("correlations of a Hermitian input must be real")
@@ -453,7 +456,7 @@ def fidelity_from_cover(rho, gamma: float, cover: SettingCover | None = None) ->
     elif not isinstance(cover, SettingCover):
         raise ValueError(f"cover must be a SettingCover or None, got {_shown(cover)}")
     target = correlations(state_at(g).state)
-    measured = correlations(rho, "rho")
+    measured = _correlations(as_density(rho, "rho"))
     covered = np.zeros(len(_TERMS), dtype=bool)
     try:
         covered[[_TERM_INDEX[t] for terms in cover.covered_terms.values() for t in terms]] = True

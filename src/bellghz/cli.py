@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 
 if TYPE_CHECKING:
-    from .family import CrossingPoint
     from .imperfections import NoiseConfig
 
 EXIT_OK = 0
@@ -67,8 +66,6 @@ def _fmt(value) -> str:
 
 def _jsonable(value):
     """Round floats to the 12-digit print precision so JSON matches text."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
@@ -80,11 +77,6 @@ def _jsonable(value):
 
 def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-
-
-def _kv_text(pairs) -> str:
-    width = max(len(key) for key, _ in pairs)
-    return "".join(f"{key.ljust(width)} = {_fmt(val)}\n" for key, val in pairs)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -104,8 +96,20 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return "".join(lines)
 
 
-def _basis_label(index: int) -> str:
-    return "".join("HV"[(index >> (3 - k)) & 1] for k in range(4))
+def _fields(args, pairs, **json_only) -> str:
+    """``key = value`` lines aligned on ``=``; with ``--json``, one object of
+    the pairs and the ``json_only`` extras, which replace a pair of their key."""
+    if args.json:
+        return _json_text({**dict(pairs), **json_only})
+    width = max(len(key) for key, _ in pairs)
+    return "".join(f"{key.ljust(width)} = {_fmt(val)}\n" for key, val in pairs)
+
+
+def _rows(args, header: Sequence[str], rows) -> str:
+    """Rows in header order as CSV; with ``--json``, a list of header-keyed objects."""
+    if args.json:
+        return _json_text([dict(zip(header, row)) for row in rows])
+    return _csv_text(header, rows)
 
 
 def _noise_config(text: str | None) -> NoiseConfig:
@@ -132,12 +136,14 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    path = out
     outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
+    path = os.path.join(outdir, out) if outdir else out  # an absolute out drops outdir
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _angle(g: float) -> list:
+    return [("gamma", g), ("gamma_in_pi", g / math.pi)]
 
 
 def _cmd_derive(args) -> str:
@@ -146,36 +152,28 @@ def _cmd_derive(args) -> str:
     from .family import state_at
 
     point = state_at(g)
-    simulated = run_pipeline(g)
-    overlap = abs(point.state.overlap(simulated.state))
-    amps = {_basis_label(i): float(point.state.vec[i].real) for i in range(16)}
+    overlap = abs(point.state.overlap(run_pipeline(g).state))
+    amps = {
+        format(i, "04b").replace("0", "H").replace("1", "V"): float(point.state.vec[i].real)
+        for i in range(16)
+    }
+    pairs = [*_angle(point.gamma), ("alpha", point.alpha),
+             ("probability", point.probability), ("overlap", overlap)]
+    text = _fields(args, pairs, amplitudes=amps)
     if args.json:
-        return _json_text(
-            {
-                "gamma": point.gamma,
-                "gamma_in_pi": point.gamma / math.pi,
-                "alpha": point.alpha,
-                "probability": point.probability,
-                "overlap": overlap,
-                "amplitudes": amps,
-            }
-        )
-    head = _kv_text(
-        [
-            ("gamma", point.gamma),
-            ("gamma_in_pi", point.gamma / math.pi),
-            ("alpha", point.alpha),
-            ("probability", point.probability),
-            ("overlap", overlap),
-        ]
+        return text
+    return text + "amplitudes:\n" + "".join(
+        f"  |{label}>  {_fmt(amp)}\n" for label, amp in amps.items()
     )
-    body = "".join(f"  |{label}>  {_fmt(amp)}\n" for label, amp in amps.items())
-    return head + "amplitudes:\n" + body
 
 
 def _cmd_sweep(args) -> str:
+    from ._checks import MAX_SWEEP_STEPS
+
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"steps must be at most {MAX_SWEEP_STEPS}, got {args.steps}")
     import numpy as np
 
     from . import analysis, family
@@ -204,55 +202,29 @@ def _cmd_catalog(args) -> str:
     entries = family.catalog()
     bounds = analysis.biseparable_bounds([entry.gamma for entry in entries])
     rows = [
-        {
-            "name": entry.name,
-            "gamma": entry.gamma,
-            "gamma_in_pi": entry.gamma / math.pi,
-            "alpha": entry.alpha,
-            "probability": family.probability(entry.gamma),
-            "c_bound": c_bound,
-        }
-        for entry, c_bound in zip(entries, bounds)
+        (e.name, e.gamma, e.gamma / math.pi, e.alpha, family.probability(e.gamma), c_bound)
+        for e, c_bound in zip(entries, bounds)
     ]
-    if args.json:
-        return _json_text(rows)
-    header = ["name", "gamma", "gamma_in_pi", "alpha", "probability", "c_bound"]
-    return _csv_text(header, [[row[key] for key in header] for row in rows])
+    return _rows(args, ("name", "gamma", "gamma_in_pi", "alpha", "probability", "c_bound"), rows)
 
 
-def _crossing_clusters() -> list[list[CrossingPoint]]:
-    from .family import find_crossings
+def _cmd_crossings(args) -> str:
+    from .family import alpha, find_crossings
 
-    clusters: list[list[CrossingPoint]] = []
+    # points within 1e-6 of a cluster's first are one meeting of several curves
+    clusters: list[list] = []
     for point in find_crossings():
         if clusters and abs(point.gamma - clusters[-1][0].gamma) <= 1e-6:
             clusters[-1].append(point)
         else:
             clusters.append([point])
-    return clusters
-
-
-def _cmd_crossings(args) -> str:
-    from .family import alpha
-
-    rows = []
-    for cluster in _crossing_clusters():
-        if not args.all and len(cluster) != 1:
-            continue
-        for point in cluster:
-            rows.append(
-                {
-                    "gamma": point.gamma,
-                    "gamma_in_pi": point.gamma / math.pi,
-                    "alpha": alpha(point.gamma),
-                    "class_a": point.classes[0],
-                    "class_b": point.classes[1],
-                }
-            )
-    if args.json:
-        return _json_text(rows)
-    header = ["gamma", "gamma_in_pi", "alpha", "class_a", "class_b"]
-    return _csv_text(header, [[row[key] for key in header] for row in rows])
+    rows = [
+        (p.gamma, p.gamma / math.pi, alpha(p.gamma), *p.classes)
+        for cluster in clusters
+        if args.all or len(cluster) == 1
+        for p in cluster
+    ]
+    return _rows(args, ("gamma", "gamma_in_pi", "alpha", "class_a", "class_b"), rows)
 
 
 def _cmd_correlations(args) -> str:
@@ -261,23 +233,12 @@ def _cmd_correlations(args) -> str:
     from .family import CLASS_NAMES
 
     moduli = analysis.correlation_classes(g)
+    terms = {name: len(analysis.CLASS_MEMBERS[name]) for name in CLASS_NAMES}
     if args.json:
-        return _json_text(
-            {
-                "gamma": g,
-                "gamma_in_pi": g / math.pi,
-                "classes": {
-                    name: {
-                        "modulus": moduli[name],
-                        "terms": len(analysis.CLASS_MEMBERS[name]),
-                    }
-                    for name in CLASS_NAMES
-                },
-            }
-        )
-    header = ["class", "terms", "modulus"]
-    rows = [[name, len(analysis.CLASS_MEMBERS[name]), moduli[name]] for name in CLASS_NAMES]
-    return _csv_text(header, rows)
+        classes = {name: {"modulus": moduli[name], "terms": terms[name]} for name in CLASS_NAMES}
+        return _json_text({**dict(_angle(g)), "classes": classes})
+    rows = [[name, terms[name], moduli[name]] for name in CLASS_NAMES]
+    return _csv_text(["class", "terms", "modulus"], rows)
 
 
 def _cmd_witness(args) -> str:
@@ -287,17 +248,7 @@ def _cmd_witness(args) -> str:
     from .imperfections import noisy_density_matrix
 
     report = evaluate_witness(noisy_density_matrix(g, cfg), g)
-    pairs = [
-        ("gamma", g),
-        ("gamma_in_pi", g / math.pi),
-        ("c", report.c),
-        ("fidelity", report.fidelity),
-        ("witness_value", report.witness_value),
-        ("detected", report.detected),
-    ]
-    if args.json:
-        return _json_text(dict(pairs))
-    return _kv_text(pairs)
+    return _fields(args, [*_angle(g), *zip(report._fields, report)])
 
 
 def _cmd_tomo(args) -> str:
@@ -320,23 +271,15 @@ def _cmd_tomo(args) -> str:
     )
     front, back = pairwise_witness(dm)
     pairs = [
-        ("gamma", g),
-        ("gamma_in_pi", g / math.pi),
+        *_angle(g),
         ("method", args.method),
         ("shots", "exact" if args.shots is None else args.shots),
         ("seed", args.seed),
-        ("c", report.c),
-        ("fidelity", report.fidelity),
-        ("witness_value", report.witness_value),
-        ("detected", report.detected),
+        *zip(report._fields, report),
         ("pairwise_front", front),
         ("pairwise_back", back),
     ]
-    if args.json:
-        payload = dict(pairs)
-        payload["shots"] = args.shots
-        return _json_text(payload)
-    return _kv_text(pairs)
+    return _fields(args, pairs, shots=args.shots)
 
 
 def _cmd_noise(args) -> str:
@@ -347,8 +290,7 @@ def _cmd_noise(args) -> str:
 
     fourfold_fidelity, fourfold_weight, rho = noise_report(g, cfg)
     pairs = [
-        ("gamma", g),
-        ("gamma_in_pi", g / math.pi),
+        *_angle(g),
         ("pair_probability", cfg.pair_probability),
         ("efficiency", cfg.efficiency),
         ("visibility", cfg.visibility),
@@ -358,42 +300,91 @@ def _cmd_noise(args) -> str:
         ("fourfold_weight", fourfold_weight),
         ("state_fidelity", fidelity(rho, g)),
     ]
-    if args.json:
-        return _json_text(dict(pairs))
-    return _kv_text(pairs)
+    return _fields(args, pairs)
 
 
-def _add_gamma(parser) -> None:
-    parser.add_argument(
-        "--gamma",
-        required=True,
-        metavar="ANGLE",
-        help="tuning angle: radians, or a pi multiple like 0.125pi; range [0, 0.25pi]",
-    )
-
-
-def _add_out(parser) -> None:
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write output to PATH instead of stdout "
-        "(relative paths resolve against $BELLGHZ_OUTDIR)",
-    )
-
-
-def _add_json(parser) -> None:
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON instead of the default format"
-    )
-
-
-def _add_noise_json(parser) -> None:
-    parser.add_argument(
-        "--noise-json",
+#: Each flag: its argparse name and keywords.
+_FLAGS = {
+    "gamma": ("--gamma", dict(required=True, metavar="ANGLE", help="tuning angle: radians, "
+                              "or a pi multiple like 0.125pi; range [0, 0.25pi]")),
+    "steps": ("--steps", dict(type=int, default=101, metavar="N",
+                              help="row count, N >= 2 (default 101)")),
+    "all": ("--all", dict(action="store_true",
+                          help="include degenerate and tangential contacts")),
+    "shots": ("--shots", dict(type=int, metavar="N", help="Poisson-mean shots per setting; "
+                              "omit for exact frequencies")),
+    "seed": ("--seed", dict(type=int, default=0, metavar="S", help="RNG seed (default 0)")),
+    # its choices, RECONSTRUCTION_METHODS, are read when the parser is built
+    "method": ("--method", dict(default="physical-projection",
+                                help="reconstruction method (default physical-projection)")),
+    "noise": ("--noise-json", dict(
         metavar="JSON|PATH",
         help="noise settings as an inline JSON object or a path to a JSON file; "
         "keys: pair_probability, efficiency, visibility, depolarizing_q",
-    )
+    )),
+    "json": ("--json", dict(action="store_true",
+                            help="emit JSON instead of the default format")),
+    "derive-json": ("--json", dict(action="store_true", help="emit JSON")),
+    "table": ("--table", dict(action="store_true", help="emit a table (default)")),
+    "out": ("--out", dict(metavar="PATH", help="write output to PATH instead of stdout "
+                          "(relative paths resolve against $BELLGHZ_OUTDIR)")),
+}
+
+#: Each command: its handler and one-line help, its description, and its
+#: flags in order; a tuple of flags is a mutually exclusive group.
+_COMMANDS = {
+    "derive": (
+        _cmd_derive, "closed-form state at one angle, checked against the circuit",
+        "Print alpha, the coincidence probability, the 16 basis amplitudes, and the overlap "
+        "between the closed form and the simulated circuit output at one tuning angle.",
+        ("gamma", ("derive-json", "table"), "out"),
+    ),
+    "sweep": (
+        _cmd_sweep, "CSV over the full angle range",
+        "Write one CSV row per angle across [0, 0.25pi] inclusive: alpha, probability, "
+        "the five correlation-class moduli, and the biseparable fidelity bound.",
+        ("steps", "out"),
+    ),
+    "catalog": (
+        _cmd_catalog, "the nine distinguished family members",
+        "List the named states the family passes through, with their angles, amplitudes, "
+        "probabilities, and biseparable bounds.",
+        ("json", "out"),
+    ),
+    "crossings": (
+        _cmd_crossings, "angles where correlation-class moduli meet",
+        "List the angles at which exactly one pair of correlation-class curves crosses.  "
+        "--all adds the degenerate meetings (several pairs at one angle) and the "
+        "tangential contacts at the GHZ point.",
+        ("all", "json", "out"),
+    ),
+    "correlations": (
+        _cmd_correlations, "correlation-class moduli at one angle",
+        "Evaluate the full correlation tensor at one angle and print the modulus and term "
+        "count of each of the five classes.",
+        ("gamma", "json", "out"),
+    ),
+    "witness": (
+        _cmd_witness, "biseparable-bound witness at one angle",
+        "Evaluate the fidelity witness at one angle, optionally on a noisy state: bound c, "
+        "fidelity F, witness value c - F, and whether genuine four-partite entanglement "
+        "is detected (F > c).",
+        ("gamma", "noise", "json", "out"),
+    ),
+    "tomo": (
+        _cmd_tomo, "simulated tomography and reconstruction",
+        "Simulate counts over all 81 local measurement settings (exact frequencies when "
+        "--shots is omitted), reconstruct the density matrix, and report the witness and "
+        "both pairwise witnesses.",
+        ("gamma", "shots", "seed", "method", "noise", "json", "out"),
+    ),
+    "noise": (
+        _cmd_noise, "imperfection study at one angle",
+        "Report the fidelity impact of higher-order emission with loss, reduced "
+        "interference visibility, and white noise at one angle.",
+        ("gamma", "noise", "json", "out"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,124 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
         "two Bell pairs and a GHZ state, and analyze its correlations.",
         epilog="exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser(
-        "derive",
-        help="closed-form state at one angle, checked against the circuit",
-        description="Print alpha, the coincidence probability, the 16 basis "
-        "amplitudes, and the overlap between the closed form and the simulated "
-        "circuit output at one tuning angle.",
-    )
-    _add_gamma(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="emit JSON")
-    mode.add_argument("--table", action="store_true", help="emit a table (default)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser(
-        "sweep",
-        help="CSV over the full angle range",
-        description="Write one CSV row per angle across [0, 0.25pi] inclusive: "
-        "alpha, probability, the five correlation-class moduli, and the "
-        "biseparable fidelity bound.",
-    )
-    p.add_argument(
-        "--steps", type=int, default=101, metavar="N", help="row count, N >= 2 (default 101)"
-    )
-    _add_out(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "catalog",
-        help="the nine distinguished family members",
-        description="List the named states the family passes through, with their "
-        "angles, amplitudes, probabilities, and biseparable bounds.",
-    )
-    _add_json(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser(
-        "crossings",
-        help="angles where correlation-class moduli meet",
-        description="List the angles at which exactly one pair of correlation-class "
-        "curves crosses.  --all adds the degenerate meetings (several pairs at one "
-        "angle) and the tangential contacts at the GHZ point.",
-    )
-    p.add_argument(
-        "--all", action="store_true", help="include degenerate and tangential contacts"
-    )
-    _add_json(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_crossings)
-
-    p = sub.add_parser(
-        "correlations",
-        help="correlation-class moduli at one angle",
-        description="Evaluate the full correlation tensor at one angle and print "
-        "the modulus and term count of each of the five classes.",
-    )
-    _add_gamma(p)
-    _add_json(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_correlations)
-
-    p = sub.add_parser(
-        "witness",
-        help="biseparable-bound witness at one angle",
-        description="Evaluate the fidelity witness at one angle, optionally on a "
-        "noisy state: bound c, fidelity F, witness value c - F, and whether "
-        "genuine four-partite entanglement is detected (F > c).",
-    )
-    _add_gamma(p)
-    _add_noise_json(p)
-    _add_json(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser(
-        "tomo",
-        help="simulated tomography and reconstruction",
-        description="Simulate counts over all 81 local measurement settings "
-        "(exact frequencies when --shots is omitted), reconstruct the density "
-        "matrix, and report the witness and both pairwise witnesses.",
-    )
-    _add_gamma(p)
-    p.add_argument(
-        "--shots",
-        type=int,
-        metavar="N",
-        help="Poisson-mean shots per setting; omit for exact frequencies",
-    )
-    p.add_argument("--seed", type=int, default=0, metavar="S", help="RNG seed (default 0)")
-    p.add_argument(
-        "--method",
-        choices=RECONSTRUCTION_METHODS,
-        default="physical-projection",
-        help="reconstruction method (default physical-projection)",
-    )
-    _add_noise_json(p)
-    _add_json(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_tomo)
-
-    p = sub.add_parser(
-        "noise",
-        help="imperfection study at one angle",
-        description="Report the fidelity impact of higher-order emission with "
-        "loss, reduced interference visibility, and white noise at one angle.",
-    )
-    _add_gamma(p)
-    _add_noise_json(p)
-    _add_json(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_noise)
-
+    for command, (func, summary, description, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary, description=description)
+        p.set_defaults(func=func)
+        for item in flags:
+            group = p if isinstance(item, str) else p.add_mutually_exclusive_group()
+            for key in [item] if isinstance(item, str) else item:
+                flag, kwargs = _FLAGS[key]
+                if key == "method":
+                    kwargs = dict(kwargs, choices=RECONSTRUCTION_METHODS)
+                group.add_argument(flag, **kwargs)
     return parser
 
 

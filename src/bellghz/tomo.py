@@ -304,8 +304,12 @@ def write_counts(records: Sequence[CountRecord], path) -> None:
 
 
 def read_counts(path) -> list[CountRecord]:
-    """Read a counts CSV back into records, tolerating missing zero rows."""
+    """Read a counts CSV back into records, tolerating missing zero rows.
+
+    Raises ValueError for a second row of the same setting and outcome.
+    """
     table: dict[str, list[float]] = {}
+    seen: set[tuple[str, str]] = set()
     with open(_parse("path", Path, path, "a str or path-like"), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -325,6 +329,9 @@ def read_counts(path) -> list[CountRecord]:
             slot = _OUTCOME_INDEX.get(outcome)
             if slot is None:
                 raise ValueError(f"unknown outcome {outcome!r}")
+            if (setting, outcome) in seen:
+                raise ValueError(f"repeated row for setting {setting!r} and outcome {outcome!r}")
+            seen.add((setting, outcome))
             counts[slot] += float(count)
     present = [s for s in SETTINGS if s in table]
     # numpy's pairwise sum per setting; a sequential Python sum would round differently

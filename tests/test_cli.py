@@ -65,6 +65,127 @@ options:
                  resolve against $BELLGHZ_OUTDIR)
 """
 
+#: ``COMMAND --help`` at 80 columns for the commands other than derive.
+COMMAND_HELP = {
+    "sweep": """\
+usage: bellghz sweep [-h] [--steps N] [--out PATH]
+
+Write one CSV row per angle across [0, 0.25pi] inclusive: alpha, probability,
+the five correlation-class moduli, and the biseparable fidelity bound.
+
+options:
+  -h, --help  show this help message and exit
+  --steps N   row count, N >= 2 (default 101)
+  --out PATH  write output to PATH instead of stdout (relative paths resolve
+              against $BELLGHZ_OUTDIR)
+""",
+    "catalog": """\
+usage: bellghz catalog [-h] [--json] [--out PATH]
+
+List the named states the family passes through, with their angles,
+amplitudes, probabilities, and biseparable bounds.
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit JSON instead of the default format
+  --out PATH  write output to PATH instead of stdout (relative paths resolve
+              against $BELLGHZ_OUTDIR)
+""",
+    "crossings": """\
+usage: bellghz crossings [-h] [--all] [--json] [--out PATH]
+
+List the angles at which exactly one pair of correlation-class curves crosses.
+--all adds the degenerate meetings (several pairs at one angle) and the
+tangential contacts at the GHZ point.
+
+options:
+  -h, --help  show this help message and exit
+  --all       include degenerate and tangential contacts
+  --json      emit JSON instead of the default format
+  --out PATH  write output to PATH instead of stdout (relative paths resolve
+              against $BELLGHZ_OUTDIR)
+""",
+    "correlations": """\
+usage: bellghz correlations [-h] --gamma ANGLE [--json] [--out PATH]
+
+Evaluate the full correlation tensor at one angle and print the modulus and
+term count of each of the five classes.
+
+options:
+  -h, --help     show this help message and exit
+  --gamma ANGLE  tuning angle: radians, or a pi multiple like 0.125pi; range
+                 [0, 0.25pi]
+  --json         emit JSON instead of the default format
+  --out PATH     write output to PATH instead of stdout (relative paths
+                 resolve against $BELLGHZ_OUTDIR)
+""",
+    "witness": """\
+usage: bellghz witness [-h] --gamma ANGLE [--noise-json JSON|PATH] [--json]
+                       [--out PATH]
+
+Evaluate the fidelity witness at one angle, optionally on a noisy state: bound
+c, fidelity F, witness value c - F, and whether genuine four-partite
+entanglement is detected (F > c).
+
+options:
+  -h, --help            show this help message and exit
+  --gamma ANGLE         tuning angle: radians, or a pi multiple like 0.125pi;
+                        range [0, 0.25pi]
+  --noise-json JSON|PATH
+                        noise settings as an inline JSON object or a path to a
+                        JSON file; keys: pair_probability, efficiency,
+                        visibility, depolarizing_q
+  --json                emit JSON instead of the default format
+  --out PATH            write output to PATH instead of stdout (relative paths
+                        resolve against $BELLGHZ_OUTDIR)
+""",
+    "tomo": """\
+usage: bellghz tomo [-h] --gamma ANGLE [--shots N] [--seed S]
+                    [--method {linear-inversion,physical-projection}]
+                    [--noise-json JSON|PATH] [--json] [--out PATH]
+
+Simulate counts over all 81 local measurement settings (exact frequencies when
+--shots is omitted), reconstruct the density matrix, and report the witness
+and both pairwise witnesses.
+
+options:
+  -h, --help            show this help message and exit
+  --gamma ANGLE         tuning angle: radians, or a pi multiple like 0.125pi;
+                        range [0, 0.25pi]
+  --shots N             Poisson-mean shots per setting; omit for exact
+                        frequencies
+  --seed S              RNG seed (default 0)
+  --method {linear-inversion,physical-projection}
+                        reconstruction method (default physical-projection)
+  --noise-json JSON|PATH
+                        noise settings as an inline JSON object or a path to a
+                        JSON file; keys: pair_probability, efficiency,
+                        visibility, depolarizing_q
+  --json                emit JSON instead of the default format
+  --out PATH            write output to PATH instead of stdout (relative paths
+                        resolve against $BELLGHZ_OUTDIR)
+""",
+    "noise": """\
+usage: bellghz noise [-h] --gamma ANGLE [--noise-json JSON|PATH] [--json]
+                     [--out PATH]
+
+Report the fidelity impact of higher-order emission with loss, reduced
+interference visibility, and white noise at one angle.
+
+options:
+  -h, --help            show this help message and exit
+  --gamma ANGLE         tuning angle: radians, or a pi multiple like 0.125pi;
+                        range [0, 0.25pi]
+  --noise-json JSON|PATH
+                        noise settings as an inline JSON object or a path to a
+                        JSON file; keys: pair_probability, efficiency,
+                        visibility, depolarizing_q
+  --json                emit JSON instead of the default format
+  --out PATH            write output to PATH instead of stdout (relative paths
+                        resolve against $BELLGHZ_OUTDIR)
+""",
+}
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -92,6 +213,12 @@ def test_golden_help(monkeypatch, capsys):
     code, out, _ = run(["derive", "--help"], capsys)
     assert code == 0
     assert out == DERIVE_HELP
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_HELP))
+def test_golden_command_help(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([name, "--help"], capsys) == (0, COMMAND_HELP[name], "")
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
@@ -182,6 +309,14 @@ def test_sweep_rejects_single_step(capsys):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize("steps", [1000001, 10**13])
+def test_sweep_rejects_more_than_a_million_steps(steps, capsys):
+    # checked before numpy is asked for a grid of that size
+    code, out, err = run(["sweep", "--steps", str(steps)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"bellghz: error: steps must be at most 1000000, got {steps}\n"
+
+
 @pytest.mark.parametrize("steps", [14, 100, 910, 972, 983])
 def test_sweep_grid_ends_exactly_at_quarter_pi(steps, capsys):
     # (steps - 1) * (pi/4) / (steps - 1) rounds one ulp above pi/4 here
@@ -227,6 +362,20 @@ def test_crossings_all_includes_contacts(capsys):
     assert len(rows) == 12
     ghz_rows = [r for r in rows if r["gamma_in_pi"] == pytest.approx(0.125)]
     assert len(ghz_rows) == 4
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["crossings"], ["crossings", "--all"]])
+def test_json_rows_carry_the_csv_fields_and_values(argv, capsys):
+    code, table, _ = run(argv, capsys)
+    assert code == 0
+    code, text, _ = run([*argv, "--json"], capsys)
+    assert code == 0
+    header, *rows = [line.split(",") for line in table.splitlines()]
+    objects = json.loads(text)
+    assert len(objects) == len(rows) > 0
+    for obj, row in zip(objects, rows):
+        assert sorted(obj) == sorted(header)
+        assert [cli._fmt(obj[key]) for key in header] == row
 
 
 def test_correlations_output(capsys):

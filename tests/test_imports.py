@@ -112,6 +112,7 @@ print(json.dumps([bellghz.__all__, listed, sorted(star), missing]))
     ["tomo", "--gamma", "0", "--shots", "2e18"],  # not an integer literal
     ["tomo", "--gamma", "0", "--shots", str(2 * 10**18)],  # above MAX_SHOTS_PER_SETTING
     ["sweep", "--steps", "1"],
+    ["sweep", "--steps", "1000001"],  # above MAX_SWEEP_STEPS
 ])
 def test_usage_errors_exit_2_without_loading_numpy(argv):
     assert "numpy" not in loaded_by(argv, exit_code=2)

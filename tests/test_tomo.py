@@ -362,8 +362,10 @@ def write_counts_by_csv_writer(records, path):
 
 
 def read_counts_by_arrays(path):
-    """The per-setting numpy accumulation that ``read_counts`` replaced, kept as its oracle."""
+    """The per-setting numpy accumulation that ``read_counts`` replaced, kept as its oracle;
+    a second row of one setting and outcome is an error, not added to the first."""
     table = {}
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -379,6 +381,9 @@ def read_counts_by_arrays(path):
                 raise ValueError(f"unknown setting {setting!r}")
             if outcome not in OUTCOMES:
                 raise ValueError(f"unknown outcome {outcome!r}")
+            if (setting, outcome) in seen:
+                raise ValueError(f"repeated row for setting {setting!r} and outcome {outcome!r}")
+            seen.add((setting, outcome))
             table.setdefault(setting, np.zeros(16))
             table[setting][OUTCOMES.index(outcome)] += float(count)
     records = []
@@ -437,6 +442,20 @@ def test_read_counts_matches_the_array_oracle_result_or_error(tmp_path, body):
         assert str(got.value) == str(exc)
     else:
         assert record_bits(read_counts(path)) == want
+
+
+def test_read_counts_rejects_a_repeated_row(tmp_path):
+    path = tmp_path / "counts.csv"
+    write_counts(exact_frequency_records(state_at(0.3).state), path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[1].startswith("xxxx,++++,")
+    path.write_text("".join(lines + lines[1:2]))
+    with pytest.raises(ValueError, match=r"setting 'xxxx' and outcome '\+\+\+\+'"):
+        read_counts(path)
+    # a repeat is rejected before its count is read, even a negative one
+    path.write_text("setting,outcome,count\nzzzz,++++,5\nzzzz,++++,-2\n")
+    with pytest.raises(ValueError, match="repeated row for setting 'zzzz'"):
+        read_counts(path)
 
 
 def test_density_matrix_json_round_trip():
