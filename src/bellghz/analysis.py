@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _nonnegative_int, _parse, _shown, check_gamma
+from ._checks import _nonnegative_int, _parse, _real, _shown, check_gamma
 from .family import CLASS_NAMES, QubitState4, _amplitude_vector, _amplitudes, alpha, state_at
 
 #: Axis labels of the correlation tensor, in index order.
@@ -110,15 +110,19 @@ def as_density(state, name: str = "state") -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A checked 16x16 state, Hermitian with unit trace; its matrix is read-only."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
+        self._own(as_density(self.matrix, "matrix"))
+
+    def _own(self, mat: np.ndarray) -> None:
+        """Hold a read-only copy of the checked matrix ``mat``."""
         # np.array keeps the input's memory order, on which later products' last bits depend
-        mat = np.array(as_density(self.matrix, "matrix"))
+        mat = np.array(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -149,7 +153,14 @@ class DensityMatrix:
         return cls(mat)
 
 
-@dataclass(frozen=True)
+def _density_matrix(state) -> DensityMatrix:
+    """``DensityMatrix(state)``, checking ``state`` once and naming it ``state``."""
+    dm = object.__new__(DensityMatrix)
+    dm._own(as_density(state))
+    return dm
+
+
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """Expectation values T[i,j,k,l] of sigma_i x sigma_j x sigma_k x sigma_l.
 
@@ -189,7 +200,13 @@ class CorrelationTensor:
         return float(np.sum(self.values**2) / 16.0)
 
     def nonzero_terms(self, tol: float = 1e-10) -> tuple[str, ...]:
-        """Labels of entries with |T| > tol, in lexicographic index order."""
+        """Labels of entries with |T| > tol, in lexicographic index order.
+
+        Raises ValueError naming ``tol`` unless it is a finite real number >= 0.
+        """
+        tol = _real("tol", tol)
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"tol must be a finite real number >= 0, got {tol!r}")
         return tuple(_TERMS[t] for t in np.flatnonzero(self._nonzero(tol)))
 
     def _nonzero(self, tol: float = 1e-10) -> np.ndarray:
@@ -405,8 +422,12 @@ class SettingCover:
     either 0 or the setting's letter there.
     """
 
-    settings: tuple[str, ...]
     covered_terms: dict[str, tuple[str, ...]]
+
+    @property
+    def settings(self) -> tuple[str, ...]:
+        """The settings, in the order they were chosen."""
+        return tuple(self.covered_terms)
 
 
 MAX_COVER_SETTINGS = 21
@@ -432,13 +453,10 @@ def setting_cover(gamma: float) -> SettingCover:
             raise RuntimeError(
                 f"cover needs more than {MAX_COVER_SETTINGS} settings at gamma={g!r}"
             )
-    return SettingCover(
-        settings=tuple(SETTINGS[s] for s in chosen),
-        covered_terms={
-            SETTINGS[s]: tuple(_TERMS[t] for t in _SETTING_TERMS[s].tolist() if nonzero[t])
-            for s in chosen
-        },
-    )
+    return SettingCover({
+        SETTINGS[s]: tuple(_TERMS[t] for t in _SETTING_TERMS[s].tolist() if nonzero[t])
+        for s in chosen
+    })
 
 
 def fidelity_from_cover(rho, gamma: float, cover: SettingCover | None = None) -> float:

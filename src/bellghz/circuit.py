@@ -104,8 +104,8 @@ def standard_elements(gamma: float) -> tuple[ModeTransform, ...]:
 
 
 #: The elements after the tunable plate, which no angle changes, and their
-#: 16-mode embeddings; all matrices are read-only, since every pipeline
-#: shares them.
+#: 16-mode embeddings; the embeddings are read-only too, since every
+#: pipeline shares them.
 _FIXED_ELEMENTS = (
     polarizing_beam_splitter(),
     half_wave_plate("c", math.pi / 4),
@@ -113,7 +113,7 @@ _FIXED_ELEMENTS = (
     fifty_fifty_splitter("d", "g", "h"),
 )
 _FIXED_EMBEDDED = tuple(element.embedded(REGISTER) for element in _FIXED_ELEMENTS)
-for _matrix in (*(e.matrix for e in _FIXED_ELEMENTS), *_FIXED_EMBEDDED):
+for _matrix in _FIXED_EMBEDDED:
     _matrix.flags.writeable = False
 del _matrix
 

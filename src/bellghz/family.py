@@ -69,17 +69,20 @@ def _amplitude_vector(name: str, value, n: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitState4:
     """Pure four-qubit state as 16 amplitudes in the computational basis.
 
-    Raises ValueError naming ``vec`` unless it holds 16 finite amplitudes.
+    Raises ValueError naming ``vec`` unless it holds 16 finite amplitudes;
+    ``vec`` is a read-only copy.
     """
 
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vec", _amplitude_vector("vec", self.vec, 16))
+        vec = np.array(_amplitude_vector("vec", self.vec, 16))
+        vec.flags.writeable = False
+        object.__setattr__(self, "vec", vec)
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.vec, self.vec).real)
@@ -99,6 +102,9 @@ class QubitState4:
         return QubitState4(self.vec * (abs(a) / a))
 
     def overlap(self, other: "QubitState4") -> complex:
+        """<self|other>; ValueError naming ``other`` unless it is a QubitState4."""
+        if not isinstance(other, QubitState4):
+            raise ValueError(f"other must be a QubitState4, got {type(other).__name__}")
         return complex(np.vdot(self.vec, other.vec))
 
     def density(self) -> np.ndarray:

@@ -100,20 +100,21 @@ class FockState:
         return FockState(self.register, {o: a * s for o, a in self.amps.items()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTransform:
     """Unitary linear map on a subset of register modes.
 
     ``matrix[l, k]`` is the coefficient of mode ``modes[l]`` in the image
     of a creation operator on mode ``modes[k]``.  Raises ValueError for a
-    matrix of the wrong shape, with a non-finite entry, or not unitary.
+    matrix of the wrong shape, with a non-finite entry, or not unitary;
+    ``matrix`` is a read-only copy.
     """
 
     modes: tuple[Mode, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.matrix, dtype=complex)
+        u = np.array(self.matrix, dtype=complex)
         k = len(self.modes)
         if u.shape != (k, k):
             raise ValueError(f"matrix shape {u.shape} does not match {k} modes")
@@ -125,6 +126,7 @@ class ModeTransform:
                 f"non-unitary transform: max |U^dag U - 1| = {dev:.3e} "
                 f"exceeds {UNITARITY_TOL}"
             )
+        u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
 
     def embedded(self, register: Sequence[Mode]) -> np.ndarray:

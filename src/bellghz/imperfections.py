@@ -60,7 +60,8 @@ class NoiseConfig:
             raise ValueError("depolarizing_q must lie in [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # numpy scalars and fractions, which __post_init__ accepts, are written as floats
+        return json.dumps(asdict(self), sort_keys=True, default=float)
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseConfig":

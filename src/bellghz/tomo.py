@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import (
-    SETTINGS, DensityMatrix, WitnessReport, _SETTING_TERMS, _density_from_terms, as_density,
-    evaluate_witness,
+    SETTINGS, DensityMatrix, WitnessReport, _SETTING_TERMS, _density_from_terms,
+    _density_matrix, as_density, evaluate_witness,
 )
 from ._checks import (
     MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _nonnegative_int, _parse, _real, _shown,
@@ -83,17 +83,14 @@ _INTS, _FLOATS = frozenset({int}), frozenset({float})
 class CountRecord:
     """Observed (or idealized) counts of one measurement setting.
 
-    ``shots`` is the duration equivalent: the expected total number of
-    events for the setting, stored as a float. Simulated counts are
-    integers; exact frequency records carry the unrounded expectations.
-    Raises ValueError naming the field for an unknown setting, counts
-    that are not 16 finite non-negative real numbers, or shots that are
-    not a finite positive real number.  ``counts`` is stored as a tuple.
+    Simulated counts are integers; exact frequency records carry the
+    outcome probabilities.  Raises ValueError naming the field for an
+    unknown setting or counts that are not 16 finite non-negative real
+    numbers.  ``counts`` is stored as a tuple.
     """
 
     setting: str
     counts: tuple[float, ...]
-    shots: float
 
     def __post_init__(self):
         if not isinstance(self.setting, str) or self.setting not in _SETTING_INDEX:
@@ -119,11 +116,6 @@ class CountRecord:
             plain = False
         if not plain and any(not 0 <= c <= sys.float_info.max for c in counts):
             raise ValueError("counts must be finite and non-negative, and convert to a float")
-        # records are built with float shots; anything else is checked
-        shots = self.shots if type(self.shots) is float else _real("shots", self.shots)
-        if not 0 < shots < math.inf:
-            raise ValueError("shots must be finite and positive")
-        object.__setattr__(self, "shots", shots)
         if type(counts) is not tuple:  # an array breaks ==, and a list hash()
             object.__setattr__(self, "counts", tuple(counts))
 
@@ -157,30 +149,20 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
             f"{MAX_SHOTS_PER_SETTING:g}, got {_shown(shots_per_setting)}"
         )
     seed = _nonnegative_int("seed", seed)
-    rho = DensityMatrix(as_density(state))
+    rho = _density_matrix(state)
     records = []
     for i, setting in enumerate(SETTINGS):
         rng = np.random.default_rng([seed, i])
         means = shots_per_setting * setting_probabilities(rho, setting)
         counts = rng.poisson(means)
-        records.append(CountRecord(setting, tuple(counts.tolist()), float(shots_per_setting)))
+        records.append(CountRecord(setting, tuple(counts.tolist())))
     return records
 
 
-def exact_frequency_records(state, shots: float = 1.0) -> list[CountRecord]:
-    """Infinite-statistics records: counts equal shots times probability.
-
-    Raises ValueError unless ``shots`` is a finite real number above 0.
-    """
-    real = isinstance(shots, numbers.Real) and not isinstance(shots, bool)
-    if not (real and 0 < shots <= sys.float_info.max):
-        raise ValueError(f"shots must be a finite real number above 0, got {_shown(shots)}")
-    rho = DensityMatrix(as_density(state))
-    scale = float(shots)
-    return [
-        CountRecord(s, tuple((scale * setting_probabilities(rho, s)).tolist()), scale)
-        for s in SETTINGS
-    ]
+def exact_frequency_records(state) -> list[CountRecord]:
+    """Infinite-statistics records: the counts are the outcome probabilities."""
+    rho = _density_matrix(state)
+    return [CountRecord(s, tuple(setting_probabilities(rho, s).tolist())) for s in SETTINGS]
 
 
 def _project_to_physical(mat: np.ndarray) -> np.ndarray:
@@ -334,11 +316,11 @@ def read_counts(path) -> list[CountRecord]:
             seen.add((setting, outcome))
             counts[slot] += float(count)
     present = [s for s in SETTINGS if s in table]
-    # numpy's pairwise sum per setting; a sequential Python sum would round differently
+    # numpy's pairwise sum per setting, whose sign names an all-zero setting
     totals = np.array([table[s] for s in present]).reshape(-1, 16).sum(axis=1).tolist()
     records = []
     for setting, total in zip(present, totals):
         if total <= 0:
             raise ValueError(f"setting {setting!r} has all-zero counts")
-        records.append(CountRecord(setting, tuple(table[setting]), total))
+        records.append(CountRecord(setting, tuple(table[setting])))
     return records

@@ -176,6 +176,14 @@ def test_qubit_state_keeps_the_bits_of_valid_vectors():
         assert QubitState4(vec).vec.tobytes() == want.tobytes()
 
 
+def test_qubit_state_owns_a_read_only_copy():
+    source = np.full(16, 0.25, dtype=complex)
+    state = QubitState4(source)
+    source[3] = math.nan
+    assert state.vec[3] == 0.25
+    assert not state.vec.flags.writeable
+
+
 def test_zero_state_cannot_be_normalized_or_phase_fixed():
     zero = QubitState4(np.zeros(16))
     with pytest.raises(ValueError, match="cannot normalize a zero state"):

@@ -130,6 +130,14 @@ def test_matrix_shape_must_match_the_modes():
         ModeTransform((AH, AV), np.eye(3))
 
 
+def test_mode_transform_owns_a_read_only_copy():
+    source = np.eye(2, dtype=complex)
+    t = ModeTransform((AH, AV), source)
+    source[0, 0] = 5.0
+    assert t.matrix[0, 0] == 1.0
+    assert not t.matrix.flags.writeable
+
+
 def test_unknown_mode_rejected():
     t = ModeTransform((AH, Mode("z", "V")), np.eye(2))
     with pytest.raises(ValueError, match="not present"):

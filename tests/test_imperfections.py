@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ def test_config_json_round_trip():
     assert NoiseConfig.from_json('{"efficiency": 1}').efficiency == 1
     with pytest.raises(ValueError, match="detector_count"):
         NoiseConfig.from_json('{"detector_count": 8}')
+    # the real numbers __post_init__ accepts are written as floats; Python's keep their bytes
+    for value in (np.float32(0.5), np.int64(1), Fraction(1, 2)):
+        text = NoiseConfig(efficiency=value).to_json()
+        assert NoiseConfig.from_json(text).efficiency == float(value)
+    assert NoiseConfig(efficiency=1, visibility=0.5).to_json() == (
+        '{"depolarizing_q": 0.0, "efficiency": 1, "pair_probability": 0.0, "visibility": 0.5}'
+    )
 
 
 def test_higher_order_zero_tau_is_ideal():

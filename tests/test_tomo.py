@@ -53,7 +53,7 @@ def terms_from_reconstruct(rng, n, monkeypatch):
     made = []
     for _ in range(n):
         counts = rng.poisson(rng.uniform(0.5, 40.0), size=(81, 16)) + 1
-        records = [CountRecord(s, tuple(row.tolist()), 1.0) for s, row in zip(SETTINGS, counts)]
+        records = [CountRecord(s, tuple(row.tolist())) for s, row in zip(SETTINGS, counts)]
         made.append(reconstruct(records, method="linear-inversion").matrix)
     monkeypatch.undo()
     return seen, made
@@ -135,27 +135,23 @@ def test_probabilities_sum_to_one():
 
 def test_count_record_validation():
     with pytest.raises(ValueError, match="unknown setting"):
-        CountRecord("aaaa", (0,) * 16, 10.0)
+        CountRecord("aaaa", (0,) * 16)
     with pytest.raises(ValueError, match="counts must be 16 numbers"):
-        CountRecord("zzzz", (1, 2, 3), 10.0)
+        CountRecord("zzzz", (1, 2, 3))
     with pytest.raises(ValueError, match="non-negative"):
-        CountRecord("zzzz", (-1,) + (0,) * 15, 10.0)
-    with pytest.raises(ValueError, match="positive"):
-        CountRecord("zzzz", (0,) * 16, 0.0)
+        CountRecord("zzzz", (-1,) + (0,) * 15)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            CountRecord("zzzz", (bad,) + (1,) * 15, 10.0)
-        with pytest.raises(ValueError, match="finite"):
-            CountRecord("zzzz", (1,) * 16, bad)
+            CountRecord("zzzz", (bad,) + (1,) * 15)
 
 
 def test_count_record_stores_its_counts_as_a_tuple():
-    from_array = CountRecord("xxxx", np.ones(16), 1.0)
-    from_list = CountRecord("xxxx", [1.0] * 16, 1.0)
+    from_array = CountRecord("xxxx", np.ones(16))
+    from_list = CountRecord("xxxx", [1.0] * 16)
     assert from_array.counts == from_list.counts == (1.0,) * 16
     assert from_array == from_list and hash(from_array) == hash(from_list)
     counts = (1,) * 16
-    assert CountRecord("xxxx", counts, 1.0).counts is counts
+    assert CountRecord("xxxx", counts).counts is counts
 
 
 def test_simulate_counts_deterministic():
@@ -197,28 +193,13 @@ def test_simulate_counts_takes_numpy_integers():
 
 def test_simulate_counts_accepts_the_largest_shots():
     records = simulate_counts(state_at(0.0).state, tomo.MAX_SHOTS_PER_SETTING, seed=1)
-    assert all(r.shots == 1e18 for r in records)
+    assert all(sum(r.counts) == pytest.approx(1e18, rel=1e-6) for r in records)
 
 
 @pytest.mark.parametrize("setting", ["xxxq", "XXXX", "xxx", ""])
 def test_setting_probabilities_rejects_unknown_settings(setting):
     with pytest.raises(ValueError, match="unknown setting"):
         setting_probabilities(state_at(0.1).state, setting)
-
-
-@pytest.mark.parametrize(
-    "shots", [-1, 0, 0.0, math.nan, math.inf, -math.inf, 10**400, "2", True, None]
-)
-def test_exact_frequency_records_rejects_bad_shots(shots):
-    with pytest.raises(ValueError, match="^shots must be a finite real number above 0"):
-        exact_frequency_records(state_at(0.1).state, shots)
-
-
-def test_exact_frequency_records_takes_any_real_shots():
-    rho = state_at(0.1).state
-    floats = exact_frequency_records(rho, 7.0)
-    for shots in (7, np.int64(7), np.float64(7.0)):
-        assert exact_frequency_records(rho, shots) == floats
 
 
 def test_simulated_frequencies_track_probabilities():
@@ -275,7 +256,7 @@ def test_reconstruct_validates_input():
     with pytest.raises(ValueError, match="method"):
         reconstruct(records, method="maximum-likelihood")
     starved = records.copy()
-    starved[3] = CountRecord(records[3].setting, (0.0,) * 16, records[3].shots)
+    starved[3] = CountRecord(records[3].setting, (0.0,) * 16)
     with pytest.raises(ValueError, match="all-zero"):
         reconstruct(starved)
 
@@ -311,13 +292,19 @@ def test_counts_csv_round_trip(tmp_path):
     assert [r.setting for r in back] == list(SETTINGS)
     for orig, readback in zip(records, back):
         assert tuple(readback.counts) == tuple(float(c) for c in orig.counts)
+    assert back == records
     direct = reconstruct(records)
     indirect = reconstruct(back)
     assert np.linalg.norm(direct.matrix - indirect.matrix) <= 1e-12
 
 
+def scaled(records, scale):
+    """The records with every count times ``scale``: exact frequencies as event counts."""
+    return [CountRecord(r.setting, tuple((scale * np.array(r.counts)).tolist())) for r in records]
+
+
 def test_counts_csv_exact_frequencies_round_trip(tmp_path):
-    records = exact_frequency_records(state_at(0.07).state, shots=1000.0)
+    records = scaled(exact_frequency_records(state_at(0.07).state), 1000.0)
     path = tmp_path / "exact.csv"
     write_counts(records, path)
     back = read_counts(path)
@@ -392,13 +379,12 @@ def read_counts_by_arrays(path):
             counts = table[setting]
             if counts.sum() <= 0:
                 raise ValueError(f"setting {setting!r} has all-zero counts")
-            records.append(CountRecord(setting, tuple(counts), float(counts.sum())))
+            records.append(CountRecord(setting, tuple(counts)))
     return records
 
 
 def record_bits(records):
-    return [(r.setting, [float(c).hex() for c in r.counts], float(r.shots).hex())
-            for r in records]
+    return [(r.setting, [float(c).hex() for c in r.counts]) for r in records]
 
 
 def counts_campaigns():
@@ -407,7 +393,7 @@ def counts_campaigns():
         g, q = rng.uniform(0, math.pi / 4), rng.uniform(0, 0.1)
         rho = noisy_density_matrix(g, NoiseConfig(depolarizing_q=q))
         yield simulate_counts(rho, 100_000, seed=k)
-        yield exact_frequency_records(rho, shots=[1.0, 1000.0, 12345.6789][k % 3])
+        yield scaled(exact_frequency_records(rho), [1.0, 1000.0, 12345.6789][k % 3])
 
 
 def test_counts_csv_equals_the_csv_writer_and_array_oracles(tmp_path):
@@ -528,12 +514,28 @@ def test_campaigns_are_equal_from_a_state_its_array_and_a_density_matrix():
         forms = (st, st.density(), DensityMatrix(st.density()))
         sampled = [simulate_counts(f, 1000.0, 5) for f in forms]
         exact = [
-            [(r.setting, np.array(r.counts).tobytes(), r.shots.hex())
-             for r in exact_frequency_records(f, 100.0)]
+            [(r.setting, np.array(r.counts).tobytes()) for r in exact_frequency_records(f)]
             for f in forms
         ]
         assert sampled[0] == sampled[1] == sampled[2]
         assert exact[0] == exact[1] == exact[2]
+
+
+def test_campaigns_check_their_state_once(monkeypatch):
+    checked = []
+
+    def as_density(state, name="state"):
+        if not isinstance(state, DensityMatrix):  # a DensityMatrix passes unchecked
+            checked.append(name)
+        return real(state, name)
+
+    real = analysis.as_density
+    monkeypatch.setattr(analysis, "as_density", as_density)
+    monkeypatch.setattr(tomo, "as_density", as_density)
+    rho = noisy_density_matrix(0.3, NoiseConfig(depolarizing_q=0.05))
+    simulate_counts(rho, 100, seed=1)
+    exact_frequency_records(rho)
+    assert checked == ["state", "state"]
 
 
 def test_random_count_tables_reconstruct_or_raise():
@@ -555,7 +557,7 @@ def test_random_count_tables_reconstruct_or_raise():
         for s, o, value in cells:
             rows[s][o] = value
         try:
-            records = [CountRecord(s, tuple(r), 1.0) for s, r in zip(SETTINGS, rows)]
+            records = [CountRecord(s, tuple(r)) for s, r in zip(SETTINGS, rows)]
             mat = reconstruct(records, method=method).matrix
         except ValueError:
             return
@@ -609,30 +611,18 @@ def test_reconstruct_and_report_sampled():
     assert back == pytest.approx(-0.5, abs=0.01)
 
 
-@pytest.mark.parametrize("counts, shots, field", [
-    ((1,) * 16, True, "shots"),
-    ((1,) * 16, "10", "shots"),
-    ((1,) * 16, None, "shots"),
-    ((1,) * 16, 1j, "shots"),
-    (("1",) * 16, 10.0, "counts"),
-    ((1j,) * 16, 10.0, "counts"),
-    ((None,) * 16, 10.0, "counts"),
-    ((True,) * 16, 10.0, "counts"),
-    (None, 10.0, "counts"),
-    ("1" * 16, 10.0, "counts"),
-    (7, 10.0, "counts"),
+@pytest.mark.parametrize("counts, field", [
+    (("1",) * 16, "counts"),
+    ((1j,) * 16, "counts"),
+    ((None,) * 16, "counts"),
+    ((True,) * 16, "counts"),
+    (None, "counts"),
+    ("1" * 16, "counts"),
+    (7, "counts"),
 ])
-def test_count_record_rejects_mistyped_fields_naming_them(counts, shots, field):
+def test_count_record_rejects_mistyped_fields_naming_them(counts, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        CountRecord("zzzz", counts, shots)
-
-
-def test_count_record_stores_shots_as_a_float():
-    for shots in (10, np.int64(10), np.float64(10.0), 10.0):
-        record = CountRecord("zzzz", (1,) * 16, shots)
-        assert type(record.shots) is float and record.shots == 10.0
-    assert CountRecord("zzzz", (1,) * 16, 10) == CountRecord("zzzz", (1,) * 16, 10.0)
-    assert CountRecord("zzzz", tuple(np.arange(16.0)), 10.0).counts[3] == 3.0
+        CountRecord("zzzz", counts)
 
 
 @pytest.mark.parametrize("records", ["abc", [1, 2], None, 7, [None]])
