@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -230,10 +231,11 @@ def gamma_for_alpha(target: float, branch: str = "first") -> float:
     def f(g: float) -> float:
         return alpha(g) - t
 
+    # alpha falls on both branches: f(lo) <= 0 or f(hi) >= 0 puts the target at or beyond an end
     flo, fhi = f(lo), f(hi)
-    if abs(flo) < 1e-14:
+    if flo < 1e-14:
         return lo
-    if abs(fhi) < 1e-14:
+    if fhi > -1e-14:
         return hi
     return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
@@ -333,43 +335,10 @@ class CrossingPoint(NamedTuple):
     classes: tuple[str, str]
 
 
-#: Any |difference| local minimum below this is treated as a candidate
-#: tangential contact and refined; the closest non-crossing class pair
-#: stays above 0.29 everywhere, so the margin is four orders.
-_TOUCH_CANDIDATE = 1e-2
-#: Refined |difference| must fall below this for a contact to count.
+#: Class pairs whose moduli agree within this at the GHZ point touch there.
 _TOUCH_ACCEPT = 1e-9
 #: Spacing of the angle grid that brackets the crossings.
 _CROSSING_STEP = 1e-4
-#: Roots of one class pair closer than this are one crossing.
-_CROSSING_DEDUPE = 1e-8
-
-
-def _refine_stationary(diff: Callable[[float], float], lo: float, hi: float) -> float | None:
-    """Locate a stationary point of ``diff`` inside (lo, hi) by bisecting
-    on the sign of a central-difference slope.
-
-    Works for smooth quadratic contacts and for the |alpha|-type kinks
-    some class differences have; generic minimizers stall at sqrt(eps)
-    relative accuracy, which is too coarse for the kinked case.  Returns
-    None when the slope does not change sign (no stationary point,
-    e.g. a transversal root already caught by bracketing).
-    """
-    h = 1e-9
-
-    def rising(g: float) -> bool:
-        return diff(g + h) >= diff(g - h)
-
-    r_lo = rising(lo)
-    if r_lo == rising(hi):
-        return None
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if rising(mid) == r_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def find_crossings() -> list[CrossingPoint]:
@@ -377,11 +346,15 @@ def find_crossings() -> list[CrossingPoint]:
 
     Transversal crossings are bracketed by sign changes on a
     ``_CROSSING_STEP`` grid and polished by Brent root finding.
-    Tangential contacts (the GHZ point, where three classes touch 1 and
-    two touch 0) produce no sign change; they appear as interior local
-    minima of |difference| and are refined by bisecting on the sign of
-    the slope instead.  Roots of the same class pair closer than
-    ``_CROSSING_DEDUPE`` are merged.
+    Tangential contacts make no sign change; they can lie only at the
+    GHZ point pi/8.  Every class modulus is a function of A = alpha^2 or
+    of |alpha|, and alpha falls strictly on [0, pi/4].  Inside (0, 1) a
+    pair's difference has only simple zeros (A = 2/3, 1/2, 1/3 and
+    (3 +- sqrt3)/6), where it changes sign; A = 1 and the second branch's
+    A = 1/3 are the endpoints 0 and pi/4.  The one other zero is A = 0,
+    where alpha changes sign at pi/8 and three classes touch 1 and two
+    touch 0; pairs that agree there within ``_TOUCH_ACCEPT`` are reported
+    at pi/8 exactly.
 
     The search takes no input, so it runs once per process; each call
     returns a new list of the same points.
@@ -396,35 +369,18 @@ def _crossing_table() -> tuple[CrossingPoint, ...]:
     points = grid.tolist()
     moduli = _grid_moduli(grid)
     found: list[CrossingPoint] = []
-    for i in range(len(CLASS_NAMES)):
-        for j in range(i + 1, len(CLASS_NAMES)):
-            fa = _CLASS_FUNCS[CLASS_NAMES[i]]
-            fb = _CLASS_FUNCS[CLASS_NAMES[j]]
+    for pair in combinations(CLASS_NAMES, 2):
+        fa, fb = (_CLASS_FUNCS[name] for name in pair)
 
-            def diff(g: float) -> float:
-                a = alpha(g)
-                return float(fa(a) - fb(a))
+        def diff(g: float) -> float:
+            a = alpha(g)
+            return float(fa(a) - fb(a))
 
-            vals = moduli[CLASS_NAMES[i]] - moduli[CLASS_NAMES[j]]
-            roots: list[float] = []
-            for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-                roots.append(_brentq(diff, points[k], points[k + 1], xtol=1e-12))
-            absvals = np.abs(vals)
-            interior = np.flatnonzero(
-                (absvals[1:-1] < absvals[:-2])
-                & (absvals[1:-1] < absvals[2:])
-                & (absvals[1:-1] < _TOUCH_CANDIDATE)
-            )
-            for k in interior + 1:
-                g0 = _refine_stationary(diff, points[k - 1], points[k + 1])
-                if g0 is not None and abs(diff(g0)) <= _TOUCH_ACCEPT:
-                    roots.append(g0)
-            roots.sort()
-            merged: list[float] = []
-            for r in roots:
-                if not merged or r - merged[-1] > _CROSSING_DEDUPE:
-                    merged.append(r)
-            pair = (CLASS_NAMES[i], CLASS_NAMES[j])
-            found.extend(CrossingPoint(r, pair) for r in merged)
+        vals = moduli[pair[0]] - moduli[pair[1]]
+        for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            root = _brentq(diff, points[k], points[k + 1], xtol=1e-12)
+            found.append(CrossingPoint(root, pair))
+        if abs(diff(math.pi / 8)) <= _TOUCH_ACCEPT:
+            found.append(CrossingPoint(math.pi / 8, pair))
     found.sort(key=lambda c: (c.gamma, c.classes))
     return tuple(found)

@@ -186,6 +186,31 @@ options:
 """,
 }
 
+#: ``crossings`` and ``crossings --all`` stdout: libm and the pure-Python Brent
+#: alone fix these bytes, and the GHZ contacts sit at pi/8 exactly.
+CROSSINGS_CSV = """\
+gamma,gamma_in_pi,alpha,class_a,class_b
+0.238829154531,0.0760216809962,0.888073833977,00zz,0x0x
+0.285929435101,0.0910141659435,0.707106781187,0z0z,00xx
+0.324883143267,0.103413516356,0.459700843381,00zz,0x0x
+0.546569008866,0.173978319004,-0.459700843381,00zz,0x0x
+"""
+CROSSINGS_ALL_CSV = """\
+gamma,gamma_in_pi,alpha,class_a,class_b
+0.238829154531,0.0760216809962,0.888073833977,00zz,0x0x
+0.261799387799,0.0833333333333,0.816496580928,0z0z,00zz
+0.261799387799,0.0833333333333,0.816496580928,0x0x,00xx
+0.285929435101,0.0910141659435,0.707106781187,0z0z,00xx
+0.307739854335,0.0979566380076,0.57735026919,00zz,00xx
+0.307739854335,0.0979566380077,0.57735026919,0z0z,0x0x
+0.324883143267,0.103413516356,0.459700843381,00zz,0x0x
+0.392699081699,0.125,8.65956056235e-17,0x0x,00xx
+0.392699081699,0.125,8.65956056235e-17,0z0z,00zz
+0.392699081699,0.125,8.65956056235e-17,iiii,00zz
+0.392699081699,0.125,8.65956056235e-17,iiii,0z0z
+0.546569008866,0.173978319004,-0.459700843381,00zz,0x0x
+"""
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -219,6 +244,15 @@ def test_golden_help(monkeypatch, capsys):
 def test_golden_command_help(name, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     assert run([name, "--help"], capsys) == (0, COMMAND_HELP[name], "")
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [(["crossings"], CROSSINGS_CSV), (["crossings", "--all"], CROSSINGS_ALL_CSV)],
+    ids=["crossings", "crossings-all"],
+)
+def test_golden_crossings(argv, want, capsys):
+    assert run(argv, capsys) == (0, want, "")
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
@@ -362,6 +396,9 @@ def test_crossings_all_includes_contacts(capsys):
     assert len(rows) == 12
     ghz_rows = [r for r in rows if r["gamma_in_pi"] == pytest.approx(0.125)]
     assert len(ghz_rows) == 4
+    code, out, _ = run(["crossings", "--all"], capsys)
+    assert code == 0
+    assert sum(line.startswith("0.392699081699,0.125,") for line in out.splitlines()) == 4
 
 
 @pytest.mark.parametrize("argv", [["catalog"], ["crossings"], ["crossings", "--all"]])

@@ -224,6 +224,20 @@ def test_gamma_for_alpha_endpoints_exact():
     assert gamma_for_alpha(-math.sqrt(1 / 3), "second") == GAMMA_MAX
 
 
+@pytest.mark.parametrize(
+    "target,branch,want",
+    [
+        (1 + 5e-13, "first", 0.0),
+        (-5e-13, "first", math.pi / 8),
+        (5e-13, "second", math.pi / 8),
+        (-math.sqrt(1 / 3) - 5e-13, "second", GAMMA_MAX),
+    ],
+)
+def test_gamma_for_alpha_takes_targets_just_beyond_a_branch_end(target, branch, want):
+    # the range check admits 1e-12 beyond each end; such a target is that end
+    assert gamma_for_alpha(target, branch) == want
+
+
 def test_gamma_for_alpha_rejects_outside_branch():
     with pytest.raises(ValueError, match="branch"):
         gamma_for_alpha(-0.5, "first")
@@ -316,7 +330,7 @@ class TestCrossings:
         assert ("0x0x", "00xx") in at_dicke
 
     def test_ghz_point_tangential_contacts(self, crossings):
-        at_ghz = {c.classes for c in crossings if abs(c.gamma - math.pi / 8) < 1e-6}
+        at_ghz = {c.classes for c in crossings if c.gamma == math.pi / 8}
         assert at_ghz == {
             ("iiii", "0z0z"),
             ("iiii", "00zz"),
@@ -349,6 +363,40 @@ class TestCrossings:
     def test_valid_class_names(self, crossings):
         for _, pair in crossings:
             assert set(pair) <= set(CLASS_NAMES)
+
+
+def test_no_crossing_is_missed_on_a_fine_grid():
+    # an oracle independent of the finder: alpha and the class moduli written
+    # here, on a grid ten times finer than the finder's
+    step = 1e-5
+    grid = np.arange(step, GAMMA_MAX, step)
+    c4 = np.cos(4 * grid)
+    a = 2 * c4 / np.sqrt(5 - 4 * c4 + 3 * np.cos(8 * grid))
+    a2 = a * a
+    moduli = {
+        "iiii": np.ones_like(a),
+        "0z0z": 1 - a2,
+        "00zz": np.abs(1 - 2 * a2),
+        "0x0x": np.sqrt(2 * a2 * np.maximum(0.0, 1 - a2)),
+        "00xx": a2,
+    }
+    # the meetings at gamma = 0 leave rounding minima near the ends
+    inside = (grid > 1e-3) & (grid < GAMMA_MAX - 1e-3)
+    found = find_crossings()
+    for i, name_a in enumerate(CLASS_NAMES):
+        for name_b in CLASS_NAMES[i + 1:]:
+            d = moduli[name_a] - moduli[name_b]
+            ad = np.abs(d)
+            sign_change = np.flatnonzero((d[:-1] * d[1:] < 0) & inside[:-1] & inside[1:])
+            minimum = 1 + np.flatnonzero(
+                (ad[1:-1] < ad[:-2]) & (ad[1:-1] < ad[2:]) & (ad[1:-1] < 1e-3) & inside[1:-1]
+            )
+            at = grid[np.concatenate([sign_change, minimum])]
+            roots = np.array([c.gamma for c in found if c.classes == (name_a, name_b)])
+            for g in at:
+                assert roots.size and np.min(np.abs(roots - g)) <= 2 * step, (name_a, name_b, g)
+            for r in roots:
+                assert at.size and np.min(np.abs(at - r)) <= 2 * step, (name_a, name_b, r)
 
 
 def test_grid_moduli_match_scalar_formulas():
