@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import compress, zip_longest
-from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -264,29 +263,17 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
     and add the operands it takes."""
     k = len(pos)
     reach = np.frombuffer(nonzero, dtype=bool).reshape(k, k)
-    subs = [[occ[p] for p in pos] for occ in occs]
-    # the input modes some term occupies, with the rows their nonzero entries
-    # reach: a monomial counts photons on those rows alone, each at its slot
-    cols = {
-        j: np.flatnonzero(reach[:, j]).tolist()
-        for j in sorted({j for sub in subs for j, n in enumerate(sub) if n})
-    }
-    rows = sorted({l for col in cols.values() for l in col})
-    slot = {l: s for s, l in enumerate(rows)}
-    # an output occupation gathers from occ + (0,) + monomial: a transformed
-    # mode takes its row's slot, or the 0 if no occupied column reaches it
-    width = len(occs[0])
-    source = dict.fromkeys(pos, width)
-    source.update((pos[l], width + 1 + s) for l, s in slot.items())
-    gather = _gatherer([source.get(p, p) for p in range(width)])
+    # the rows each column's nonzero entries reach: a monomial counts photons
+    # on the k transformed modes, as an output occupation holds them at pos
+    cols = [np.flatnonzero(reach[:, j]).tolist() for j in range(k)]
     factors: dict[tuple[int, int, int], int] = {}  # (l, j, m) -> its index
-    # (j, n) -> per composition, the (slot, photons) it adds and its factors
+    # (j, n) -> per composition, the (row, photons) it adds and its factors
     expansions: dict[tuple[int, int], list[tuple[list[tuple[int, int]], list[int]]]] = {}
     # per term, the occupied columns it substitutes in turn; per term with
     # any, its monomials so far, each with its entry's index within the term
-    rounds = [[(j, n) for j, n in enumerate(sub) if n] for sub in subs]
+    rounds = [[(j, occ[p]) for j, p in enumerate(pos) if occ[p]] for occ in occs]
     touched = [i for i, r in enumerate(rounds) if r]
-    polys = [{(0,) * len(rows): 0} for _ in touched]
+    polys = [{(0,) * k: 0} for _ in touched]
     levels, picks = [], []
     for r in range(max((len(rounds[i]) for i in touched), default=0)):
         scale, src, factor_lists, dst = [], [], [], []
@@ -298,7 +285,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
                 steps = expansions.get((j, nj))
                 if steps is None:
                     steps = expansions[j, nj] = [
-                        ([(slot[l], m) for l, m in zip(cols[j], comp) if m],
+                        ([(l, m) for l, m in zip(cols[j], comp) if m],
                          [factors.setdefault((l, j, m), len(factors))
                           for l, m in zip(cols[j], comp) if m])
                         for comp in _compositions(nj, len(cols[j]))
@@ -307,8 +294,8 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
                 for part, e in poly.items():
                     for moves, fs in steps:
                         tgt = list(part)
-                        for s, m in moves:
-                            tgt[s] += m
+                        for l, m in moves:
+                            tgt[l] += m
                         src.append(start + e)
                         factor_lists.append(fs)
                         dst.append(end + grown.setdefault(tuple(tgt), len(grown)))
@@ -331,8 +318,11 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
     touched_polys = iter(polys)
     for i, occ in enumerate(occs):
         if rounds[i]:
-            outs += [keys.setdefault(gather(occ + (0,) + mono), len(keys))
-                     for mono in next(touched_polys)]
+            for mono in next(touched_polys):
+                out = list(occ)
+                for p, n in zip(pos, mono):
+                    out[p] = n
+                outs.append(keys.setdefault(tuple(out), len(keys)))
         else:
             plain.append((keys.setdefault(occ, len(keys)), i))
     return _Plan(
@@ -340,7 +330,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
         tuple((i, m) for i, (_, _, m) in enumerate(factors) if m > 1),
         np.array(picks, dtype=np.intp),
         np.array(touched, dtype=np.intp),
-        _padded([[_SQRT_FACT[n] for n in subs[i] if n > 1] for i in touched], 1.0),
+        _padded([[_SQRT_FACT[n] for _, n in rounds[i] if n > 1] for i in touched], 1.0),
         tuple(levels),
         _padded([[_SQRT_FACT[n] for n in mono if n > 1] for poly in polys for mono in poly], 1.0),
         _interleaved(outs),
@@ -357,14 +347,6 @@ def _padded(lists: list[list], fill) -> np.ndarray:
 def _interleaved(bins: list[int]) -> np.ndarray:
     """``bincount`` bins for (2, n) values: bin 2b for a real part, 2b+1 for an imaginary one."""
     return np.array([2 * b for b in bins] + [2 * b + 1 for b in bins], dtype=np.intp)
-
-
-def _gatherer(index: list[int]):
-    """A function from a tuple to the tuple of its items at ``index``."""
-    if len(index) == 1:
-        (i,) = index
-        return lambda items: (items[i],)
-    return itemgetter(*index)
 
 
 def postselect(

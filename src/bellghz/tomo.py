@@ -207,7 +207,7 @@ def reconstruct(records: Iterable[CountRecord], method: str = "linear-inversion"
         )
 
     counts = np.array([by_setting[s].counts for s in SETTINGS], dtype=float)
-    # numpy's pairwise sum along each row, as read_counts takes its totals
+    # numpy's pairwise sum along each row
     totals = counts.sum(axis=1)
     empty = np.flatnonzero(totals <= 0)
     if empty.size:
@@ -288,7 +288,9 @@ def write_counts(records: Sequence[CountRecord], path) -> None:
 def read_counts(path) -> list[CountRecord]:
     """Read a counts CSV back into records, tolerating missing zero rows.
 
-    Raises ValueError for a second row of the same setting and outcome.
+    Every setting with a row is returned, an all-zero one too, which
+    :func:`reconstruct` rejects.  Raises ValueError for a second row of the
+    same setting and outcome.
     """
     table: dict[str, list[float]] = {}
     seen: set[tuple[str, str]] = set()
@@ -315,12 +317,4 @@ def read_counts(path) -> list[CountRecord]:
                 raise ValueError(f"repeated row for setting {setting!r} and outcome {outcome!r}")
             seen.add((setting, outcome))
             counts[slot] += float(count)
-    present = [s for s in SETTINGS if s in table]
-    # numpy's pairwise sum per setting, whose sign names an all-zero setting
-    totals = np.array([table[s] for s in present]).reshape(-1, 16).sum(axis=1).tolist()
-    records = []
-    for setting, total in zip(present, totals):
-        if total <= 0:
-            raise ValueError(f"setting {setting!r} has all-zero counts")
-        records.append(CountRecord(setting, tuple(table[setting])))
-    return records
+    return [CountRecord(s, tuple(table[s])) for s in SETTINGS if s in table]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_circuit import to_qubits_by_lookup
-from test_fock import postselect_by_groups, postselect_by_sums
+from test_fock import amplitudes_by_permanents, postselect_by_groups, postselect_by_sums
 
 from bellghz import circuit, imperfections
 from bellghz.analysis import fidelity
@@ -459,6 +459,66 @@ def test_third_order_branches_equal_the_path_list_oracle_byte_for_byte():
         want_rho, want_total = third_order_branches_by_path_list(float(gamma))
         assert total.hex() == want_total.hex()
         assert rho.tobytes() == want_rho.tobytes()
+
+
+def third_order_branches_by_permanents(gamma):
+    """The loss-branch sum rho3 with every six-photon amplitude a permanent: no Fock engine.
+
+    A branch loses one pair i <= j of the output modes, and keeps the
+    coincidence c with the amplitude of c + 1_i + 1_j times the loss factor
+    sqrt(n_i n_j), or sqrt(n_i (n_i - 1) / 2) for i == j. Branches add incoherently.
+    """
+    outs = [i for i, m in enumerate(REGISTER) if m.spatial in COINCIDENCE_PATTERN]
+    # qubit k is path k of the outputs (H = 0, V = 1), qubit 1 most significant
+    coincidences = []
+    for bits in range(16):
+        occ = [0] * len(REGISTER)
+        for k in range(4):
+            occ[outs[2 * k + ((bits >> (3 - k)) & 1)]] += 1
+        coincidences.append(occ)
+    u = pipeline_transform(gamma).embedded(REGISTER)
+    rho = np.zeros((16, 16), dtype=complex)
+    for a, i in enumerate(outs):
+        for j in outs[a:]:
+            lit = [list(c) for c in coincidences]
+            for n in lit:
+                n[i] += 1
+                n[j] += 1
+            factors = np.array([math.sqrt(n[i] * (n[i] - 1) / 2 if i == j else n[i] * n[j])
+                                for n in lit])
+            phi = factors * amplitudes_by_permanents(spdc_term(3), u, lit)
+            rho += np.outer(phi, phi.conj())
+    return rho
+
+
+def test_third_order_branches_equal_the_permanent_closed_form():
+    # rho3(gamma) = A0 + A1 cos 4g + A2 cos 8g, solved at 0, pi/8 and pi/4, where
+    # (cos 4g, cos 8g) is (1, 1), (0, -1) and (-1, 1)
+    at_0, at_8, at_4 = map(third_order_branches_by_permanents, (0.0, math.pi / 8, math.pi / 4))
+    a1 = (at_0 - at_4) / 2
+    a0 = ((at_0 + at_4) / 2 + at_8) / 2
+    a2 = ((at_0 + at_4) / 2 - at_8) / 2
+    for a, trace, nonzero in ((a0, Fraction(39, 32), 68), (a1, Fraction(-3, 4), 52),
+                              (a2, Fraction(9, 32), 36)):
+        # real symmetric tables of multiples of 1/64, with the traces of q3's closed form
+        table = np.round(64 * a.real)
+        np.testing.assert_allclose(64 * a, table, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(table, table.T)
+        assert np.count_nonzero(table) == nonzero
+        assert np.trace(a) == pytest.approx(float(trace), rel=0, abs=1e-12)
+    # the form holds off the solved points too, permanents against permanents
+    for gamma in (math.pi / 12, 0.5):
+        rho = third_order_branches_by_permanents(gamma)
+        want = a0 + a1 * math.cos(4 * gamma) + a2 * math.cos(8 * gamma)
+        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-14)
+    rng = np.random.default_rng(25)
+    for gamma in [0.0, math.pi / 12, math.pi / 8, math.pi / 4, *rng.uniform(0, math.pi / 4, 60)]:
+        gamma = float(gamma)
+        rho, q = _third_order_branches(gamma)
+        want = a0 + a1 * math.cos(4 * gamma) + a2 * math.cos(8 * gamma)
+        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-14)
+        want_q = 39 / 32 - 3 / 4 * math.cos(4 * gamma) + 9 / 32 * math.cos(8 * gamma)
+        assert q == pytest.approx(want_q, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("call", [

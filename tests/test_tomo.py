@@ -327,9 +327,9 @@ def test_read_counts_rejects_malformed(tmp_path):
     bad.write_text("setting,outcome,count\nzzzz,++++,3,7\n")
     with pytest.raises(ValueError, match="malformed"):
         read_counts(bad)
+    # an all-zero setting reads back as written; reconstruct rejects it
     bad.write_text("setting,outcome,count\nzzzz,++++,0\n")
-    with pytest.raises(ValueError, match="all-zero"):
-        read_counts(bad)
+    assert read_counts(bad) == [CountRecord("zzzz", (0.0,) * 16)]
     bad.write_text("setting,outcome,count\nzzzz,++++,3\nzzzz,+++-,nan\n")
     with pytest.raises(ValueError, match="finite"):
         read_counts(bad)
@@ -373,14 +373,7 @@ def read_counts_by_arrays(path):
             seen.add((setting, outcome))
             table.setdefault(setting, np.zeros(16))
             table[setting][OUTCOMES.index(outcome)] += float(count)
-    records = []
-    for setting in SETTINGS:
-        if setting in table:
-            counts = table[setting]
-            if counts.sum() <= 0:
-                raise ValueError(f"setting {setting!r} has all-zero counts")
-            records.append(CountRecord(setting, tuple(counts)))
-    return records
+    return [CountRecord(s, tuple(table[s])) for s in SETTINGS if s in table]
 
 
 def record_bits(records):
@@ -598,9 +591,12 @@ def test_too_few_sampled_shots_is_a_numeric_failure(tmp_path):
     records = simulate_counts(state_at(0.1).state, 1, seed=0)
     with pytest.raises(ValueError, match="all-zero"):
         reconstruct(records)
+    # and they read back as written, starved settings included
     write_counts(records, tmp_path / "counts.csv")
+    back = read_counts(tmp_path / "counts.csv")
+    assert back == records
     with pytest.raises(ValueError, match="all-zero"):
-        read_counts(tmp_path / "counts.csv")
+        reconstruct(back)
 
 
 def test_reconstruct_and_report_sampled():
