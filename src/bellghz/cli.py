@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
@@ -211,18 +212,13 @@ def _cmd_catalog(args) -> str:
 def _cmd_crossings(args) -> str:
     from .family import alpha, find_crossings
 
-    # points within 1e-6 of a cluster's first are one meeting of several curves
-    clusters: list[list] = []
-    for point in find_crossings():
-        if clusters and abs(point.gamma - clusters[-1][0].gamma) <= 1e-6:
-            clusters[-1].append(point)
-        else:
-            clusters.append([point])
+    # crossings sit at catalog angles exactly: points at one angle are one meeting of several curves
+    points = find_crossings()
+    meeting = Counter(p.gamma for p in points)
     rows = [
         (p.gamma, p.gamma / math.pi, alpha(p.gamma), *p.classes)
-        for cluster in clusters
-        if args.all or len(cluster) == 1
-        for p in cluster
+        for p in points
+        if args.all or meeting[p.gamma] == 1
     ]
     return _rows(args, ("gamma", "gamma_in_pi", "alpha", "class_a", "class_b"), rows)
 

@@ -277,7 +277,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
 
 # |T| of one representative per class as a function of alpha.  Each
 # formula takes a float or a numpy array, so one definition serves both
-# the point evaluation and the grid scan in :func:`find_crossings`.
+# :func:`class_moduli` and the columns of ``bellghz sweep``.
 def _class_iiii(a):
     return np.ones_like(a)
 
@@ -318,69 +318,36 @@ def class_moduli(gamma: float) -> dict[str, float]:
     return {name: float(_CLASS_FUNCS[name](a)) for name in CLASS_NAMES}
 
 
-def _grid_moduli(grid: np.ndarray) -> dict[str, np.ndarray]:
-    """Class moduli over an array of angles inside [0, pi/4].
-
-    alpha follows the same expression as :func:`alpha`, with numpy's
-    cos, which may differ from :func:`math.cos` in the last bit.
-    """
-    c4 = np.cos(4 * grid)
-    p = (5.0 - 4.0 * c4 + 3.0 * np.cos(8 * grid)) / 48.0
-    a = 2.0 * c4 / np.sqrt(48.0 * p)
-    return {name: _CLASS_FUNCS[name](a) for name in CLASS_NAMES}
-
-
 class CrossingPoint(NamedTuple):
     gamma: float
     classes: tuple[str, str]
 
 
-#: Class pairs whose moduli agree within this at the GHZ point touch there.
+#: Class pairs whose moduli agree within this at a catalog angle meet there.
 _TOUCH_ACCEPT = 1e-9
-#: Spacing of the angle grid that brackets the crossings.
-_CROSSING_STEP = 1e-4
 
 
 def find_crossings() -> list[CrossingPoint]:
-    """Locate every gamma in (0, pi/4) where two class moduli meet.
+    """Every gamma in (0, pi/4) where two class moduli meet, read off the catalog.
 
-    Transversal crossings are bracketed by sign changes on a
-    ``_CROSSING_STEP`` grid and polished by Brent root finding.
-    Tangential contacts make no sign change; they can lie only at the
-    GHZ point pi/8.  Every class modulus is a function of A = alpha^2 or
-    of |alpha|, and alpha falls strictly on [0, pi/4].  Inside (0, 1) a
-    pair's difference has only simple zeros (A = 2/3, 1/2, 1/3 and
-    (3 +- sqrt3)/6), where it changes sign; A = 1 and the second branch's
-    A = 1/3 are the endpoints 0 and pi/4.  The one other zero is A = 0,
-    where alpha changes sign at pi/8 and three classes touch 1 and two
-    touch 0; pairs that agree there within ``_TOUCH_ACCEPT`` are reported
-    at pi/8 exactly.
-
-    The search takes no input, so it runs once per process; each call
-    returns a new list of the same points.
+    Every class modulus is a function of A = alpha^2 or of |alpha|, and
+    alpha falls strictly on [0, pi/4].  Inside (0, 1) a pair's difference
+    has only simple zeros (A = 2/3, 1/2, 1/3 and (3 +- sqrt3)/6), where it
+    changes sign; A = 1 and the second branch's A = 1/3 are the endpoints
+    0 and pi/4.  The one other zero is A = 0, where alpha changes sign at
+    pi/8 and three classes touch 1 and two touch 0.  These zeros are the
+    catalog's S^a, D4(2), S^b, Psi4+, S^c+-, and GHZ, so the pairs whose
+    moduli agree within ``_TOUCH_ACCEPT`` at a catalog angle strictly
+    inside (0, pi/4) are every crossing and contact.  Each call returns a
+    new list, sorted by (gamma, classes).
     """
-    return list(_crossing_table())
-
-
-@cache
-def _crossing_table() -> tuple[CrossingPoint, ...]:
-    """The sorted crossings of :func:`find_crossings`, computed once."""
-    grid = np.arange(_CROSSING_STEP, GAMMA_MAX, _CROSSING_STEP)
-    points = grid.tolist()
-    moduli = _grid_moduli(grid)
     found: list[CrossingPoint] = []
-    for pair in combinations(CLASS_NAMES, 2):
-        fa, fb = (_CLASS_FUNCS[name] for name in pair)
-
-        def diff(g: float) -> float:
-            a = alpha(g)
-            return float(fa(a) - fb(a))
-
-        vals = moduli[pair[0]] - moduli[pair[1]]
-        for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-            root = _brentq(diff, points[k], points[k + 1], xtol=1e-12)
-            found.append(CrossingPoint(root, pair))
-        if abs(diff(math.pi / 8)) <= _TOUCH_ACCEPT:
-            found.append(CrossingPoint(math.pi / 8, pair))
+    for entry in catalog():
+        if not GAMMA_MIN < entry.gamma < GAMMA_MAX:
+            continue
+        moduli = class_moduli(entry.gamma)
+        for pair in combinations(CLASS_NAMES, 2):
+            if abs(moduli[pair[0]] - moduli[pair[1]]) <= _TOUCH_ACCEPT:
+                found.append(CrossingPoint(entry.gamma, pair))
     found.sort(key=lambda c: (c.gamma, c.classes))
-    return tuple(found)
+    return found

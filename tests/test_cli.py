@@ -186,8 +186,8 @@ options:
 """,
 }
 
-#: ``crossings`` and ``crossings --all`` stdout: libm and the pure-Python Brent
-#: alone fix these bytes, and the GHZ contacts sit at pi/8 exactly.
+#: ``crossings`` and ``crossings --all`` stdout: libm and the catalog's Brent
+#: inversion alone fix these bytes; every row sits at a catalog angle exactly.
 CROSSINGS_CSV = """\
 gamma,gamma_in_pi,alpha,class_a,class_b
 0.238829154531,0.0760216809962,0.888073833977,00zz,0x0x
@@ -198,10 +198,10 @@ gamma,gamma_in_pi,alpha,class_a,class_b
 CROSSINGS_ALL_CSV = """\
 gamma,gamma_in_pi,alpha,class_a,class_b
 0.238829154531,0.0760216809962,0.888073833977,00zz,0x0x
-0.261799387799,0.0833333333333,0.816496580928,0z0z,00zz
 0.261799387799,0.0833333333333,0.816496580928,0x0x,00xx
+0.261799387799,0.0833333333333,0.816496580928,0z0z,00zz
 0.285929435101,0.0910141659435,0.707106781187,0z0z,00xx
-0.307739854335,0.0979566380076,0.57735026919,00zz,00xx
+0.307739854335,0.0979566380077,0.57735026919,00zz,00xx
 0.307739854335,0.0979566380077,0.57735026919,0z0z,0x0x
 0.324883143267,0.103413516356,0.459700843381,00zz,0x0x
 0.392699081699,0.125,8.65956056235e-17,0x0x,00xx

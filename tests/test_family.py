@@ -364,10 +364,21 @@ class TestCrossings:
         for _, pair in crossings:
             assert set(pair) <= set(CLASS_NAMES)
 
+    def test_every_crossing_is_a_catalog_state(self, crossings):
+        names = {e.gamma.hex(): e.name for e in catalog()}
+        for g, pair in crossings:
+            assert g.hex() in names, (g, pair)
+        assert {names[g.hex()] for g, _ in crossings} == {
+            "S^a", "D4(2)", "S^b", "Ψ4+", "S^c+", "GHZ", "S^c−"
+        }
+        first, second = find_crossings(), find_crossings()
+        assert first == second == crossings
+        assert first is not second
+
 
 def test_no_crossing_is_missed_on_a_fine_grid():
     # an oracle independent of the finder: alpha and the class moduli written
-    # here, on a grid ten times finer than the finder's
+    # here, on a 1e-5 grid
     step = 1e-5
     grid = np.arange(step, GAMMA_MAX, step)
     c4 = np.cos(4 * grid)
@@ -399,12 +410,17 @@ def test_no_crossing_is_missed_on_a_fine_grid():
                 assert at.size and np.min(np.abs(at - r)) <= 2 * step, (name_a, name_b, r)
 
 
-def test_grid_moduli_match_scalar_formulas():
-    grid = np.arange(1e-4, GAMMA_MAX, 1e-4)
-    on_grid = family._grid_moduli(grid)
-    for name in CLASS_NAMES:
-        scalar = np.array([class_moduli(g)[name] for g in grid])
-        assert np.max(np.abs(on_grid[name] - scalar)) <= 1e-12, name
+def test_sweep_class_columns_match_scalar_formulas():
+    # sweep applies the class formulas to an array of alphas; each column
+    # must carry class_moduli's bits at every angle
+    for steps in (2, 101, 951, 2000, 20001):
+        grid = np.minimum(GAMMA_MAX, GAMMA_MAX * np.arange(steps) / (steps - 1))
+        gammas = grid.tolist()
+        a = np.array([family._alpha_probability(g)[0] for g in gammas])
+        scalar = [class_moduli(g) for g in gammas]
+        for name in CLASS_NAMES:
+            column = family._CLASS_FUNCS[name](a).tolist()
+            assert list(map(float.hex, column)) == [m[name].hex() for m in scalar], (steps, name)
 
 
 def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
@@ -413,24 +429,16 @@ def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
     calls = []
 
     def compared(f, xa, xb, **kwargs):
-        # compare at once: find_crossings rebinds what its closures read
         root = port(f, xa, xb, **kwargs)
         assert optimize.brentq(f, xa, xb, **kwargs) == root
         calls.append(root)
         return root
 
     monkeypatch.setattr(family, "_brentq", compared)
-    # the crossing table is computed once per process: search again under the patch,
-    # and leave no table found by the patched root finder behind
-    family._crossing_table.cache_clear()
-    try:
-        find_crossings()
-    finally:
-        family._crossing_table.cache_clear()
     for _, g, a, branch in family._CATALOG_ROWS:
         if g is None:
             gamma_for_alpha(a, branch)
-    assert len(calls) == 8 + 5  # transversal crossings + catalog inversions
+    assert len(calls) == 5  # the catalog inversions
 
     rng = np.random.default_rng(20081)
     cases = 0
