@@ -16,7 +16,7 @@ GAMMA_MAX = math.pi / 4
 #: Largest Poisson mean per setting; numpy's sampler refuses means above about 9.2e18.
 MAX_SHOTS_PER_SETTING = 1e18
 
-#: Most rows ``bellghz sweep`` writes; a million take about 10 s and 0.9 GB.
+#: Most rows ``bellghz sweep`` writes; a million take about 8 s and 0.3 GB.
 MAX_SWEEP_STEPS = 10**6
 
 #: The methods :func:`bellghz.tomo.reconstruct` takes.

@@ -81,20 +81,12 @@ def _json_text(payload) -> str:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
-    """Header and rows as CSV lines, one format call per row.
+    """Header and rows as CSV lines, every cell printed by :func:`_fmt`.
 
     No cell of any table contains a comma, quote or newline, so no cell is
-    quoted.  A row of floats alone takes one ``%`` format, whose ``%.12g``
-    gives the same digits as :func:`_fmt`.
+    quoted.
     """
-    floats = ",".join(["%.12g"] * len(header)) + "\n"
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        if len(row) == len(header) and set(map(type, row)) == {float}:
-            lines.append(floats % tuple(row))
-        else:
-            lines.append(",".join(map(_fmt, row)) + "\n")
-    return "".join(lines)
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
 def _fields(args, pairs, **json_only) -> str:
@@ -180,21 +172,27 @@ def _cmd_sweep(args) -> str:
     from . import analysis, family
     from .family import CLASS_NAMES, GAMMA_MAX
 
-    # the last angle can round one ulp above pi/4 (N = 14, 100); clamped, none needs a check
-    grid = np.minimum(GAMMA_MAX, GAMMA_MAX * np.arange(args.steps) / (args.steps - 1))
-    gammas = grid.tolist()
-    alphas, probabilities = zip(*map(family._alpha_probability, gammas))
-    a = np.array(alphas)
-    columns = [
-        gammas,
-        (grid / math.pi).tolist(),
-        alphas,
-        probabilities,
-        *(family._CLASS_FUNCS[name](a).tolist() for name in CLASS_NAMES),
-        analysis._bounds_at_alphas(list(alphas)),
-    ]
     header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
-    return _csv_text(header, zip(*columns))
+    row = ",".join(["%.12g"] * len(header)) + "\n"  # every cell a float, in _fmt's digits
+    n = args.steps
+    blocks = [",".join(header) + "\n"]
+    # 4,096 angles of the one grid at a time bound the memory; every column is
+    # elementwise in the angle, so a block gets the bits the whole grid would
+    for start in range(0, n, 4096):
+        # the last angle can round one ulp above pi/4 (N = 14, 100); clamped, none needs a check
+        grid = np.minimum(GAMMA_MAX, GAMMA_MAX * np.arange(start, min(start + 4096, n)) / (n - 1))
+        gammas = grid.tolist()
+        alphas, probabilities = zip(*map(family._alpha_probability, gammas))
+        columns = [
+            gammas,
+            (grid / math.pi).tolist(),
+            alphas,
+            probabilities,
+            *(values.tolist() for values in family._class_values(np.array(alphas))),
+            analysis._bounds_at_alphas(list(alphas)),
+        ]
+        blocks.append("".join(row % cells for cells in zip(*columns)))
+    return "".join(blocks)
 
 
 def _cmd_catalog(args) -> str:

@@ -275,36 +275,19 @@ def catalog() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-# |T| of one representative per class as a function of alpha.  Each
-# formula takes a float or a numpy array, so one definition serves both
-# :func:`class_moduli` and the columns of ``bellghz sweep``.
-def _class_iiii(a):
-    return np.ones_like(a)
+def _class_values(a):
+    """|T| of one representative per class at amplitude ``a``, in ``CLASS_NAMES`` order.
 
-
-def _class_0z0z(a):
-    return 1.0 - a * a
-
-
-def _class_00zz(a):
-    return abs(1.0 - 2.0 * a * a)
-
-
-def _class_0x0x(a):
-    return math.sqrt(2.0) * abs(a) * np.sqrt(np.maximum(0.0, 1.0 - a * a))
-
-
-def _class_00xx(a):
-    return a * a
-
-
-_CLASS_FUNCS: dict[str, Callable] = {
-    "iiii": _class_iiii,
-    "0z0z": _class_0z0z,
-    "00zz": _class_00zz,
-    "0x0x": _class_0x0x,
-    "00xx": _class_00xx,
-}
+    ``a`` is a float or a numpy array, with the same float operations either
+    way, so :func:`class_moduli` and ``bellghz sweep`` get the same bits.
+    """
+    return (
+        np.ones_like(a),
+        1.0 - a * a,
+        abs(1.0 - 2.0 * a * a),
+        math.sqrt(2.0) * abs(a) * np.sqrt(np.maximum(0.0, 1.0 - a * a)),
+        a * a,
+    )
 
 
 def class_moduli(gamma: float) -> dict[str, float]:
@@ -314,8 +297,7 @@ def class_moduli(gamma: float) -> dict[str, float]:
     :mod:`bellghz.analysis`; keeping both allows them to check each
     other.
     """
-    a = alpha(gamma)
-    return {name: float(_CLASS_FUNCS[name](a)) for name in CLASS_NAMES}
+    return dict(zip(CLASS_NAMES, map(float, _class_values(alpha(gamma)))))
 
 
 class CrossingPoint(NamedTuple):

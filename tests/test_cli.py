@@ -10,7 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from bellghz import circuit, cli, tomo
+from bellghz import alpha, biseparable_bound, circuit, class_moduli, cli, probability, tomo
+from bellghz.family import CLASS_NAMES
 
 SUBCOMMANDS = (
     "derive",
@@ -710,8 +711,23 @@ def csv_writer_text(header, rows):
     return buf.getvalue()
 
 
+@pytest.mark.parametrize("steps", [2, 3, 14, 100, 101, 901, 951, 1001, 2000, 4095, 4096, 4097, 8193])
+def test_sweep_rows_equal_the_scalar_library(steps, capsys):
+    # sweep formats its own rows in blocks of 4,096 angles; each row must be
+    # what the public calls give at that angle of the clamped grid
+    header = ["gamma", "gamma_in_pi", "alpha", "probability", *CLASS_NAMES, "c_bound"]
+    rows = []
+    for i in range(steps):
+        g = min(math.pi / 4, math.pi / 4 * i / (steps - 1))
+        moduli = class_moduli(g)
+        rows.append([g, g / math.pi, alpha(g), probability(g),
+                     *(moduli[name] for name in CLASS_NAMES), biseparable_bound(g)])
+    code, out, _ = run(["sweep", "--steps", str(steps)], capsys)
+    assert code == 0
+    assert out == csv_writer_text(header, rows)
+
+
 @pytest.mark.parametrize("argv", [
-    *(["sweep", "--steps", str(n)] for n in (2, 3, 14, 100, 101, 901, 951, 1001, 2000)),
     ["catalog"],
     ["crossings"],
     ["crossings", "--all"],
@@ -747,6 +763,23 @@ def test_csv_text_formats_every_cell_type_like_the_csv_writer():
         (),
     ]
     assert cli._csv_text(header, rows) == csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["witness", "--gamma", "0.3pi"], 2),
+    (["tomo", "--gamma", "0.1", "--shots", "1"], 3),
+    (["noise", "--gamma", "0.1", "--noise-json", "MISSING"], 4),
+])
+def test_failed_command_creates_and_changes_no_out_file(argv, exit_code, tmp_path, capsys):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"kept\n")
+    for out in (new, old):
+        code, text, err = run([*argv, "--out", str(out)], capsys)
+        assert (code, text) == (exit_code, "")
+        assert err.startswith("bellghz: ")
+    assert not new.exists()
+    assert old.read_bytes() == b"kept\n"
 
 
 #: Every subcommand, --json, --out, usage errors and a --seed error, run in

@@ -411,15 +411,15 @@ def test_no_crossing_is_missed_on_a_fine_grid():
 
 
 def test_sweep_class_columns_match_scalar_formulas():
-    # sweep applies the class formulas to an array of alphas; each column
-    # must carry class_moduli's bits at every angle
+    # sweep applies _class_values to an array of alphas; each column must
+    # carry class_moduli's bits at every angle
     for steps in (2, 101, 951, 2000, 20001):
         grid = np.minimum(GAMMA_MAX, GAMMA_MAX * np.arange(steps) / (steps - 1))
         gammas = grid.tolist()
         a = np.array([family._alpha_probability(g)[0] for g in gammas])
         scalar = [class_moduli(g) for g in gammas]
-        for name in CLASS_NAMES:
-            column = family._CLASS_FUNCS[name](a).tolist()
+        for name, values in zip(CLASS_NAMES, family._class_values(a), strict=True):
+            column = values.tolist()
             assert list(map(float.hex, column)) == [m[name].hex() for m in scalar], (steps, name)
 
 

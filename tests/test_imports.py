@@ -1,5 +1,5 @@
-"""Cold start: each command loads only the modules it runs, and the package
-re-exports its public names lazily."""
+"""Cold start: each command loads only the modules it runs, the package
+re-exports its public names lazily, and a long sweep stays small."""
 
 import json
 import os
@@ -166,3 +166,27 @@ print(json.dumps(tracemalloc.get_traced_memory()[0]))
         fresh_python("import bellghz.tomo; print(0)", env=env)
         assert any(tmp_path.rglob("tomo.*.pyc"))
     assert fresh_python(code, env=env) < 1.5 * 2**20
+
+
+def test_sweep_of_200000_steps_peaks_under_150_mb(tmp_path):
+    # VmHWM is the child's own peak: ru_maxrss would carry this process's
+    # high-water mark across exec
+    code = """\
+import json, sys
+from bellghz import cli
+code = cli.main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as fh:
+        peak = [int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:")]
+except OSError:
+    peak = []
+print(json.dumps([code, peak]))
+"""
+    out = tmp_path / "s.csv"
+    code, peak = fresh_python(code, "sweep", "--steps", "200000", "--out", str(out))
+    if not peak:
+        pytest.skip("no VmHWM in /proc/self/status")
+    assert code == 0
+    with open(out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 200001
+    assert peak[0] < 150
