@@ -17,6 +17,7 @@ and no command loads a module it does not use.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -125,12 +126,25 @@ def _noise_config(text: str | None) -> NoiseConfig:
         raise ValueError(f"bad noise config: {exc}") from None
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _out_path(out: str | None) -> str | None:
+    """The file ``--out`` names; before any computation, the OSError the final
+    open would raise if its directory is missing or it is a directory.  It
+    creates nothing, and the open after the command stays the last word."""
     if out is None:
-        sys.stdout.write(text)
-        return
+        return None
     outdir = os.environ.get(OUTDIR_ENV)
     path = os.path.join(outdir, out) if outdir else out  # an absolute out drops outdir
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return path
+
+
+def _write_output(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -417,8 +431,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        text = args.func(args)
-        _write_output(text, args.out)
+        path = _out_path(args.out)
+        _write_output(args.func(args), path)
     except ValueError as exc:
         # numpy's LinAlgError is a ValueError, but a numeric failure; without
         # numpy loaded, no error can be one

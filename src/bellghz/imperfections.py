@@ -124,8 +124,6 @@ def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
     total = 0.0
     for pair in sorted(branches):
         kept, weight = postselect(FockState(REGISTER, branches[pair]), COINCIDENCE_PATTERN)
-        if weight == 0.0:
-            continue
         phi = to_qubits(kept).vec
         rho += weight * np.outer(phi, phi.conj())
         total += weight

@@ -10,6 +10,7 @@ from bellghz.analysis import (
     AXES,
     CLASS_MEMBERS,
     CorrelationTensor,
+    DensityMatrix,
     DickeProjection,
     PAULI,
     SettingCover,
@@ -29,7 +30,7 @@ from bellghz.analysis import (
     three_tangle,
 )
 import bellghz
-from bellghz import cli
+from bellghz import analysis, cli
 from bellghz.family import (
     CLASS_NAMES,
     QubitState4,
@@ -170,6 +171,54 @@ def test_classes_numeric_equals_closed_form(gamma):
     assert set(numeric) == set(closed)
     for name in numeric:
         assert numeric[name] == pytest.approx(closed[name], abs=1e-10), name
+
+
+#: 20,001 angles across [0, pi/4] and the catalog's, for facts about the whole family
+DENSE_GAMMAS = np.linspace(0.0, math.pi / 4, 20001).tolist() + [e.gamma for e in catalog()]
+TERMS = ["".join(t) for t in itertools.product(AXES, repeat=4)]
+CLASS_MASKS = {name: np.array([t in CLASS_MEMBERS[name] for t in TERMS]) for name in CLASS_NAMES}
+
+
+def test_class_members_agree_in_modulus_across_the_family():
+    # so correlation_classes may read each class at one member, and the terms
+    # setting_cover must cover are a union of whole classes, iiii among them
+    for g in DENSE_GAMMAS:
+        tensor = correlations(state_at(g).state)
+        moduli = np.abs(tensor.values.ravel())
+        present = []
+        for name in CLASS_NAMES:
+            members = moduli[CLASS_MASKS[name]]
+            assert members.max() - members.min() <= 1e-10, (g, name)
+            if members.max() > 1e-10:
+                present.append(name)
+        assert present[0] == "iiii", g
+        union = np.any([CLASS_MASKS[name] for name in present], axis=0)
+        assert np.array_equal(tensor._nonzero(), union), g
+
+
+def test_every_union_of_classes_is_covered_by_at_most_21_settings(monkeypatch):
+    sizes = []
+    for r in range(len(CLASS_NAMES)):
+        for others in itertools.combinations(CLASS_NAMES[1:], r):
+            union = np.any([CLASS_MASKS[name] for name in ("iiii", *others)], axis=0)
+            tensor = CorrelationTensor(union.reshape(4, 4, 4, 4).astype(float))
+            monkeypatch.setattr(analysis, "correlations", lambda state, tensor=tensor: tensor)
+            cover = setting_cover(0.1)
+            assert set().union(*cover.covered_terms.values()) == set(tensor.nonzero_terms())
+            sizes.append(len(cover.settings))
+    assert len(sizes) == 16
+    assert max(sizes) == sizes[-1] == 21  # all five classes, as at a generic angle
+
+
+def test_correlations_read_the_hermitian_part_of_an_admitted_matrix():
+    # as_density admits an anti-Hermitian part up to DM_TOL
+    skewed = MIXED.copy()
+    skewed[0, 1] += 1e-10j
+    hermitian = (skewed + skewed.conj().T) / 2
+    dm = DensityMatrix(skewed)
+    assert np.array_equal(correlations(dm).values, correlations(hermitian).values)
+    for g in (0.1, math.pi / 8):
+        assert fidelity_from_cover(dm, g) == fidelity_from_cover(hermitian, g)
 
 
 def test_fidelity_anchors():
@@ -531,6 +580,7 @@ def test_dicke_projection_hv_gives_w_class():
     assert abs(np.vdot(w3, res.state)) == pytest.approx(1.0)
     flipped = dicke_projection("HV", "H")
     assert flipped.label == "W"
+    assert flipped.probability == pytest.approx(0.5)
     assert abs(np.vdot(w3[::-1], flipped.state)) == pytest.approx(1.0)
 
 

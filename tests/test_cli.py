@@ -676,6 +676,14 @@ def test_vanished_coincidence_is_numeric_failure(monkeypatch, capsys):
     assert "numeric failure" in err
 
 
+def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert run(["catalog"], capsys) == (3, "", "bellghz: numeric failure: SVD did not converge\n")
+
+
 def test_outputs_byte_identical(capsys):
     argvs = (
         ["sweep", "--steps", "25"],
@@ -780,6 +788,32 @@ def test_failed_command_creates_and_changes_no_out_file(argv, exit_code, tmp_pat
         assert err.startswith("bellghz: ")
     assert not new.exists()
     assert old.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--steps", "1000000"],
+    ["noise", "--gamma", "0.1", "--noise-json", '{"pair_probability": 0.05, "efficiency": 0.2}'],
+    ["witness", "--gamma", "0.3pi"],  # the --out error comes before the handler's own checks
+])
+@pytest.mark.parametrize("out, error", [
+    ("no/such/dir/s.csv", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+])
+def test_bad_out_exits_4_before_the_command_runs(argv, out, error, tmp_path, monkeypatch, capsys):
+    parser, ran = cli._parser(), []
+
+    class Recording:
+        def parse_args(self, argv):
+            args = parser.parse_args(argv)
+            args.func = ran.append
+            return args
+
+    monkeypatch.setattr(cli, "_parser", Recording)
+    monkeypatch.setenv("BELLGHZ_OUTDIR", str(tmp_path))
+    code, text, err = run([*argv, "--out", out], capsys)
+    assert (code, text, ran) == (4, "", [])
+    assert err == f"bellghz: i/o error: {error}: {f'{tmp_path}/{out}'!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 #: Every subcommand, --json, --out, usage errors and a --seed error, run in

@@ -440,6 +440,14 @@ def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
             gamma_for_alpha(a, branch)
     assert len(calls) == 5  # the catalog inversions
 
+    # an exact root at either end is returned before any step
+    def quarter(x):
+        return x - 0.25
+
+    for lo, hi in ((0.25, 1.0), (-1.0, 0.25)):
+        assert port(quarter, lo, hi, xtol=1e-12) == optimize.brentq(quarter, lo, hi, xtol=1e-12)
+        assert port(quarter, lo, hi, xtol=1e-12) == 0.25
+
     rng = np.random.default_rng(20081)
     cases = 0
     for xtol in (1e-12, 2e-12, 1e-14):

@@ -9,7 +9,7 @@ import pytest
 from test_circuit import to_qubits_by_lookup
 from test_fock import amplitudes_by_permanents, postselect_by_groups, postselect_by_sums
 
-from bellghz import circuit, imperfections
+from bellghz import circuit, fock, imperfections
 from bellghz.analysis import fidelity
 from bellghz.circuit import (
     COINCIDENCE_PATTERN,
@@ -355,6 +355,23 @@ def test_third_order_branches_equal_the_exhaustive_search(gamma):
     want_rho, want_total = _brute_force_branches(gamma)
     assert total == want_total
     np.testing.assert_array_equal(rho, want_rho)
+
+
+def test_post_selection_keeps_every_loss_branch_whole(monkeypatch):
+    # each branch term already holds one photon per output path, so no branch
+    # loses a term to the coincidence filter, and every weight is positive
+    calls = []
+
+    def recorded(state, pattern):
+        kept, weight = postselect(state, pattern)
+        calls.append((kept.amps.keys() == state.amps.keys(), weight))
+        return kept, weight
+
+    monkeypatch.setattr(fock, "postselect", recorded)
+    rng = np.random.default_rng(31)
+    for gamma in [e.gamma for e in catalog()] + rng.uniform(0, math.pi / 4, 40).tolist():
+        _third_order_branches(gamma)
+    assert calls and all(whole and weight > 0.0 for whole, weight in calls)
 
 
 def third_order_branches_by_sums(gamma):

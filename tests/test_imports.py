@@ -100,6 +100,7 @@ print(json.dumps([bellghz.__all__, listed, sorted(star), missing]))
     assert "noise_report" not in names
     assert set(names) <= set(listed)
     assert star == sorted(names)
+    assert set(names) <= set(dir(bellghz))  # here too, with the submodules loaded
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         bellghz.nope  # noqa: B018
 
