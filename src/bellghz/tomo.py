@@ -26,7 +26,7 @@ from .analysis import (
     _density_matrix, as_density, evaluate_witness,
 )
 from ._checks import (
-    MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _nonnegative_int, _parse, _real, _shown,
+    MAX_SHOTS_PER_SETTING, RECONSTRUCTION_METHODS, _nonnegative_int, _parse, _shots, _shown,
     check_gamma,
 )
 from .imperfections import NoiseConfig, noisy_density_matrix
@@ -142,12 +142,7 @@ def simulate_counts(state, shots_per_setting: float, seed: int) -> list[CountRec
     which also rejects NaN and infinity, or unless ``seed`` is a
     non-negative integer.
     """
-    _real("shots_per_setting", shots_per_setting)
-    if not 1 <= shots_per_setting <= MAX_SHOTS_PER_SETTING:
-        raise ValueError(
-            f"shots_per_setting must be finite, at least 1 and at most "
-            f"{MAX_SHOTS_PER_SETTING:g}, got {_shown(shots_per_setting)}"
-        )
+    _shots("shots_per_setting", shots_per_setting)
     seed = _nonnegative_int("seed", seed)
     rho = _density_matrix(state)
     records = []
@@ -246,12 +241,16 @@ def reconstruct_and_report(
     """End-to-end loop: noisy state, counts, reconstruction, witness.
 
     ``shots=None`` uses exact frequencies instead of Poisson sampling.
-    Raises RuntimeError when the sampled counts of some setting are all
-    zero, since more shots are needed to reconstruct.
+    Raises ValueError naming ``shots`` or ``seed`` before any computation
+    unless they pass :func:`simulate_counts`' checks.  Raises RuntimeError
+    when the sampled counts of some setting are all zero, since more shots
+    are needed to reconstruct.
     """
     g = check_gamma(gamma)
-    rho = noisy_density_matrix(g, cfg)
+    if shots is not None:
+        _shots("shots", shots)
     _nonnegative_int("seed", seed)
+    rho = noisy_density_matrix(g, cfg)
     if shots is None:
         records = exact_frequency_records(rho)
     else:

@@ -204,8 +204,12 @@ def test_simulated_sign_of_bell_part():
 
 
 def test_probability_range_and_maximum():
-    probs = [run_pipeline(g).probability for g in np.linspace(0, math.pi / 4, 41)]
-    assert all(0 < p <= 0.25 + 1e-12 for p in probs)
+    # p = (6c^2 - 4c + 2)/48 with c = cos 4 gamma is least, 1/36, at c = 1/3:
+    # no admitted angle makes the coincidences vanish
+    least = math.acos(1.0 / 3.0) / 4.0
+    probs = [run_pipeline(g).probability for g in [least, *np.linspace(0, math.pi / 4, 1001)]]
+    assert all(1.0 / 36.0 - 1e-12 <= p <= 0.25 + 1e-12 for p in probs)
+    assert probs[0] == pytest.approx(1.0 / 36.0, abs=1e-12)
     assert max(probs) == pytest.approx(0.25)
     assert probs[-1] == pytest.approx(0.25)
 

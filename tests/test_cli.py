@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from bellghz import alpha, biseparable_bound, circuit, class_moduli, cli, probability, tomo
+from bellghz import alpha, biseparable_bound, class_moduli, cli, probability, tomo
 from bellghz.family import CLASS_NAMES
 
 SUBCOMMANDS = (
@@ -634,6 +634,14 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
             code = cli.main(argv)
         return code, out.getvalue(), err.getvalue()
 
+    def parses(argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli._parser().parse_args(argv)
+            except SystemExit:
+                return False
+        return True
+
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(argvs())
     def check(argv):
@@ -645,7 +653,10 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
             assert out == "" and err != ""
         # a flag given twice takes its last value
         last = {flag: i + 1 for i, flag in enumerate(argv[:-1]) if flag.startswith("--")}
-        if "--noise-json" in last and argv[last["--noise-json"]] in ("[1]", "null", "0.1"):
+        if "--out" in last and argv[last["--out"]] != str(tmp_path / "out.txt") and parses(argv):
+            # a missing directory or a directory, checked before the command runs
+            assert code == 4
+        elif "--noise-json" in last and argv[last["--noise-json"]] in ("[1]", "null", "0.1"):
             # JSON that is not an object is a bad config whether or not the command takes it
             assert code == 2
         if code == 0 and "--out" in last:
@@ -666,14 +677,6 @@ def test_random_argv_exits_with_a_documented_code(tmp_path):
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
-
-
-def test_vanished_coincidence_is_numeric_failure(monkeypatch, capsys):
-    monkeypatch.setattr(circuit, "COINCIDENCE_PATTERN", {sp: 2 for sp in circuit.OUTPUTS})
-    code, out, err = run(["derive", "--gamma", "0.1"], capsys)
-    assert code == 3
-    assert out == ""
-    assert "numeric failure" in err
 
 
 def test_linalg_error_is_numeric_failure(monkeypatch, capsys):
@@ -793,7 +796,9 @@ def test_failed_command_creates_and_changes_no_out_file(argv, exit_code, tmp_pat
 @pytest.mark.parametrize("argv", [
     ["sweep", "--steps", "1000000"],
     ["noise", "--gamma", "0.1", "--noise-json", '{"pair_probability": 0.05, "efficiency": 0.2}'],
-    ["witness", "--gamma", "0.3pi"],  # the --out error comes before the handler's own checks
+    # the --out error comes before the handler's own checks
+    ["witness", "--gamma", "0.3pi"],
+    ["witness", "--gamma", "0", "--noise-json", "null"],
 ])
 @pytest.mark.parametrize("out, error", [
     ("no/such/dir/s.csv", "[Errno 2] No such file or directory"),

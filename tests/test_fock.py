@@ -614,6 +614,17 @@ def test_plans_carry_twenty_photons_over_sixteen_modes():
         assert amp_bytes(apply_transform(state, t)) == amp_bytes(apply_transform_by_terms(state, t))
 
 
+@pytest.mark.parametrize("n", [25, 40])
+def test_many_photons_in_one_mode_split_binomially(n):
+    # 25! and 40! lie beyond int64, well within a float
+    theta = 0.3
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    out = apply_transform(FockState((AH, AV), {(n, 0): 1.0}), circuit.half_wave_plate("a", theta))
+    assert len(out.amps) == n + 1
+    for k in range(n + 1):
+        assert abs(out.amps[(k, n - k)] - math.sqrt(math.comb(n, k)) * c**k * s ** (n - k)) <= 1e-15
+
+
 def test_terms_without_a_transformed_photon_keep_python_complex():
     reg = (AH, AV, BH, BV)
     state = FockState(reg, {(1, 0, 1, 0): 0.6, (0, 2, 0, 0): 0.8j, (0, 0, 0, 3): -0.0 + 0.5j})

@@ -1,0 +1,166 @@
+"""One boundary contract for every public callable.
+
+Each parameter of each callable in ``bellghz.__all__``, read with
+``inspect.signature``, gets every hostile value in turn, the other
+arguments valid, and must answer with a ValueError that names it, quickly.
+"""
+
+import inspect
+import math
+import re
+import signal
+
+import numpy as np
+import pytest
+
+import bellghz
+
+MIXED = np.eye(16, dtype=complex) / 16.0
+
+HOSTILE = {
+    "True": True,
+    "'1'": "1",
+    "None": None,
+    "1j": 1j,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "array([0.1])": np.array([0.1]),
+    "10**400": 10**400,
+    "10**5000": 10**5000,
+    "[1]": [1],
+    "object()": object(),
+}
+
+#: Seconds one call may take, hundreds of times what any valid call here needs.
+TIME_BOUND = 5.0
+
+#: The records the library returns: plain NamedTuples that check nothing.
+RECORDS = {"CatalogEntry", "CrossingPoint", "FamilyPoint", "PipelineResult"}
+
+
+def _records():
+    return bellghz.exact_frequency_records(MIXED)
+
+
+def _counts_file():
+    """A valid counts CSV in the working directory, which a fixture makes a
+    fresh temporary one."""
+    bellghz.write_counts(_records(), "counts.csv")
+    return "counts.csv"
+
+
+#: Valid arguments of each public callable, by parameter name; a callable is
+#: called with all of them, one replaced by a hostile value.
+VALID = {
+    "CorrelationTensor": lambda: dict(values=bellghz.correlations(MIXED).values),
+    "CountRecord": lambda: dict(setting="xxxx", counts=(1,) * 16),
+    "DensityMatrix": lambda: dict(matrix=MIXED),
+    "NoiseConfig": lambda: dict(pair_probability=0.01, efficiency=0.5, visibility=0.9,
+                                depolarizing_q=0.1),
+    "QubitState4": lambda: dict(vec=bellghz.state_at(0.1).state.vec),
+    "alpha": lambda: dict(gamma=0.1),
+    "biseparable_bound": lambda: dict(gamma=0.1),
+    "biseparable_bounds": lambda: dict(gammas=[0.1, 0.2]),
+    "catalog": dict,
+    "class_moduli": lambda: dict(gamma=0.1),
+    "correlation_classes": lambda: dict(gamma=0.1),
+    "correlations": lambda: dict(state=MIXED),
+    "dicke_projection": lambda: dict(basis="HV", outcome="H"),
+    "evaluate_witness": lambda: dict(rho=MIXED, gamma=0.1),
+    "exact_frequency_records": lambda: dict(state=MIXED),
+    "fidelity": lambda: dict(rho=MIXED, gamma=0.1),
+    "fidelity_from_cover": lambda: dict(rho=MIXED, gamma=0.1, cover=bellghz.setting_cover(0.1)),
+    "find_crossings": dict,
+    "gamma_for_alpha": lambda: dict(target=0.5, branch="first"),
+    "higher_order_fourfolds": lambda: dict(gamma=0.1, cfg=bellghz.NoiseConfig()),
+    "lu_invariance_check": lambda: dict(gamma=0.1, trials=2, seed=7),
+    "noisy_density_matrix": lambda: dict(gamma=0.1, cfg=bellghz.NoiseConfig()),
+    "pairwise_witness": lambda: dict(state=MIXED),
+    "probability": lambda: dict(gamma=0.1),
+    "read_counts": lambda: dict(path=_counts_file()),
+    "reconstruct": lambda: dict(records=_records(), method="linear-inversion"),
+    "reconstruct_and_report": lambda: dict(gamma=0.1, cfg=bellghz.NoiseConfig(), shots=1000,
+                                           seed=0, method="linear-inversion"),
+    "run_pipeline": lambda: dict(gamma=0.1),
+    "setting_cover": lambda: dict(gamma=0.1),
+    "simulate_counts": lambda: dict(state=MIXED, shots_per_setting=1000, seed=3),
+    "state_at": lambda: dict(gamma=0.1),
+    "three_tangle": lambda: dict(vec=np.ones(8)),
+    "write_counts": lambda: dict(records=_records(), path="out.csv"),
+}
+
+#: Hostile values a parameter accepts as valid, and why.
+EXEMPT = {
+    # any non-negative integer seeds numpy's generator, however large
+    ("lu_invariance_check", "seed"): {"10**400", "10**5000"},
+    ("simulate_counts", "seed"): {"10**400", "10**5000"},
+    ("reconstruct_and_report", "seed"): {"10**400", "10**5000"},
+    # None asks for exact frequencies, or for the cover at gamma
+    ("reconstruct_and_report", "shots"): {"None"},
+    ("fidelity_from_cover", "cover"): {"None"},
+    # an array of angles is what the parameter takes
+    ("biseparable_bounds", "gammas"): {"array([0.1])"},
+    # a str is a path: "1" is read as a missing file (an OSError) or written
+    ("read_counts", "path"): {"'1'"},
+    ("write_counts", "path"): {"'1'"},
+}
+
+
+PUBLIC = [name for name in bellghz.__all__
+          if callable(getattr(bellghz, name)) and name not in RECORDS]
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
+class Overrun(Exception):
+    pass
+
+
+def _call_in_time(call, kwargs):
+    """``call(**kwargs)``, interrupted by Overrun after TIME_BOUND seconds."""
+    def overrun(signum, frame):
+        raise Overrun
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND)
+    try:
+        return call(**kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_public_callable_has_valid_arguments():
+    # a new callable, or a new parameter, joins the table below through here
+    assert set(PUBLIC) == set(VALID)
+    for name in PUBLIC:
+        assert set(VALID[name]()) == set(inspect.signature(getattr(bellghz, name)).parameters)
+
+
+@pytest.mark.parametrize("name, parameter", [
+    (name, parameter) for name in PUBLIC
+    for parameter in inspect.signature(getattr(bellghz, name)).parameters
+], ids=lambda part: part)
+def test_hostile_argument_raises_value_error_naming_it(name, parameter):
+    call = getattr(bellghz, name)
+    _call_in_time(call, VALID[name]())  # the valid arguments pass
+    failures = []
+    for label, bad in HOSTILE.items():
+        if label in EXEMPT.get((name, parameter), ()):
+            continue
+        try:
+            _call_in_time(call, {**VALID[name](), parameter: bad})
+        except ValueError as exc:
+            if not re.search(rf"\b{parameter}\b", str(exc)):
+                failures.append(f"{label}: message names no {parameter}: {exc}")
+        except Overrun:
+            failures.append(f"{label}: still running after {TIME_BOUND} s")
+        except Exception as exc:  # noqa: BLE001 - any other type is the failure reported
+            failures.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            failures.append(f"{label}: accepted")
+    assert not failures, f"{name}({parameter}=...):\n" + "\n".join(failures)
