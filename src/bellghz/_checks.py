@@ -57,6 +57,12 @@ def _nonnegative_int(name: str, value) -> int:
     return int(value)
 
 
+def _instance(name: str, value, cls: type) -> None:
+    """ValueError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _shots(name: str, shots) -> None:
     """ValueError naming ``name`` unless ``shots`` is a real number in
     [1, MAX_SHOTS_PER_SETTING], which also rejects NaN and infinity."""

@@ -139,7 +139,7 @@ class DensityMatrix:
     def from_json(cls, text: str) -> "DensityMatrix":
         data = _parse("text", json.loads, text, "a JSON str or bytes")
         if not isinstance(data, dict) or set(data) != {"real", "imag"}:
-            raise ValueError("expected a JSON object with 'real' and 'imag'")
+            raise ValueError("text must be a JSON object with 'real' and 'imag'")
         try:
             real, imag = (np.array(data[key], dtype=object) for key in ("real", "imag"))
             # bools, null, strings, objects and ragged rows are not numbers

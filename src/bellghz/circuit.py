@@ -17,9 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _nonnegative_int, check_gamma
+from ._checks import _instance, _nonnegative_int, _shown, check_gamma
 from .family import QubitState4
-from .fock import FockState, Mode, ModeTransform, _path_pairs, apply_transform, postselect
+from .fock import (
+    MAX_PHOTONS_PER_MODE, FockState, Mode, ModeTransform, _path_pairs, apply_transform, postselect,
+)
 
 SPATIALS = "abcdefgh"
 
@@ -137,11 +139,14 @@ def spdc_term(order: int) -> FockState:
     The n-th order term (a_H+ b_V+ + a_V+ b_H+)^n / n! |vac> expands to
     equal unit weights on the n+1 occupations (a_H:k, a_V:n-k, b_H:n-k,
     b_V:k); normalization is therefore 1/sqrt(n+1).  Raises ValueError
-    unless ``order`` is a positive integer.
+    unless ``order`` is an integer from 1 to MAX_PHOTONS_PER_MODE, the most
+    photons a mode can hold through a transform.
     """
     order = _nonnegative_int("emission order", order)
-    if order < 1:
-        raise ValueError("emission order must be >= 1")
+    if not 1 <= order <= MAX_PHOTONS_PER_MODE:
+        raise ValueError(
+            f"emission order must lie in [1, {MAX_PHOTONS_PER_MODE}], got {_shown(order)}"
+        )
     amp = 0j + 1.0 / math.sqrt(order + 1.0)
     return FockState(
         REGISTER, {(k, order - k, order - k, k, *_UNLIT): amp for k in range(order + 1)}
@@ -159,9 +164,11 @@ def to_qubits(state: FockState) -> QubitState4:
     The qubits are the output paths in the order of the coincidence table
     :func:`~bellghz.fock.postselect` reads, the register's order (e, f, g,
     h for :data:`REGISTER`); the basis index packs their polarizations,
-    H = 0, V = 1, qubit 1 most significant.
+    H = 0, V = 1, qubit 1 most significant.  Raises ValueError unless
+    ``state`` is a FockState.
     """
-    register = tuple(state.register)
+    _instance("state", state, FockState)
+    register = state.register
     table = _path_pairs(register, tuple(COINCIDENCE_PATTERN.items()))
     for i, j, want in table:
         # a lone mode is listed as (i, i): its photon would read as V

@@ -29,7 +29,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from ._checks import MAX_SHOTS_PER_SETTING, MAX_SWEEP_STEPS, RECONSTRUCTION_METHODS, check_gamma
+from ._checks import MAX_SWEEP_STEPS, RECONSTRUCTION_METHODS, _nonnegative_int, _shots, check_gamma
 
 if TYPE_CHECKING:
     from .imperfections import NoiseConfig
@@ -260,13 +260,9 @@ def _cmd_witness(args) -> str:
 
 def _cmd_tomo(args) -> str:
     g = parse_angle(args.gamma)
-    if args.shots is not None and not 1 <= args.shots <= MAX_SHOTS_PER_SETTING:
-        raise ValueError(
-            f"shots_per_setting must be at least 1 and at most {MAX_SHOTS_PER_SETTING:g}, "
-            f"got {args.shots}"
-        )
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.shots is not None:
+        _shots("--shots", args.shots)
+    _nonnegative_int("--seed", args.seed)
     cfg = _noise_config(args.noise_json)
     from .analysis import pairwise_witness
     from .tomo import reconstruct_and_report

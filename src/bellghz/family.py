@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # the checks live where the CLI can run them without numpy
-from ._checks import GAMMA_MAX, GAMMA_MIN, _real, _shown, check_gamma
+from ._checks import GAMMA_MAX, GAMMA_MIN, _instance, _real, _shown, check_gamma
 
 #: Modulus classes of the correlation tensor, named by one representative
 #: index string over {0, x, y, z} (0 = identity slot).
@@ -104,8 +104,7 @@ class QubitState4:
 
     def overlap(self, other: "QubitState4") -> complex:
         """<self|other>; ValueError naming ``other`` unless it is a QubitState4."""
-        if not isinstance(other, QubitState4):
-            raise ValueError(f"other must be a QubitState4, got {type(other).__name__}")
+        _instance("other", other, QubitState4)
         return complex(np.vdot(self.vec, other.vec))
 
     def density(self) -> np.ndarray:

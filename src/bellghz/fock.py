@@ -17,7 +17,8 @@ modes the expansion stays tiny, so exact substitution, planned once per
 occupation pattern and run in float arrays, is both faster and more
 transparent than a truncated matrix representation of each element.
 The n! and sqrt(n!) factors are floats, so a transformed mode holds at
-most 170 photons, the largest n whose n! a float can hold.
+most 170 photons, the largest n whose n! a float can hold; more raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._checks import _instance, _shown
+
 #: Amplitudes at or below this magnitude are dropped after every expansion.
 #: Set below double-precision accumulation error so pruning never touches
 #: physically meaningful terms.
@@ -42,6 +45,9 @@ UNITARITY_TOL = 1e-12
 #: Substitution plans :func:`apply_transform` keeps, least recently used out
 #: first; the pipeline and its noise model use nine.
 PLAN_CACHE_SIZE = 32
+
+#: Most photons a transformed mode holds, before or after the transform.
+MAX_PHOTONS_PER_MODE = 170
 
 
 class Mode(NamedTuple):
@@ -60,17 +66,19 @@ class FockState:
 
     ``amps`` maps occupation vectors (one count per register mode, in
     register order) to complex amplitudes.  Treat instances as
-    immutable; operations return new states.  Raises ValueError for an
-    amplitude that is not a finite number.
+    immutable; operations return new states.  Raises ValueError unless
+    ``register`` is a tuple and ``amps`` a dict of finite numbers.
     """
 
     register: tuple[Mode, ...]
     amps: dict[tuple[int, ...], complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _instance("register", self.register, tuple)
         try:
             finite = all(map(cmath.isfinite, self.amps.values()))
-        except (TypeError, OverflowError):  # not a number, or an int beyond float
+        # not a dict, not a number, or an int beyond float
+        except (AttributeError, TypeError, OverflowError):
             finite = False
         if not finite:
             raise ValueError("amps must hold finite complex amplitudes")
@@ -103,16 +111,20 @@ class ModeTransform:
     """Unitary linear map on a subset of register modes.
 
     ``matrix[l, k]`` is the coefficient of mode ``modes[l]`` in the image
-    of a creation operator on mode ``modes[k]``.  Raises ValueError for a
-    matrix of the wrong shape, with a non-finite entry, or not unitary;
-    ``matrix`` is a read-only copy.
+    of a creation operator on mode ``modes[k]``.  Raises ValueError for
+    ``modes`` that is not a tuple and for a matrix that is not numbers, of
+    the wrong shape, non-finite or not unitary; ``matrix`` is a read-only copy.
     """
 
     modes: tuple[Mode, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.array(self.matrix, dtype=complex)
+        _instance("modes", self.modes, tuple)
+        try:
+            u = np.array(self.matrix, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"matrix must be numbers, got {type(self.matrix).__name__}") from None
         k = len(self.modes)
         if u.shape != (k, k):
             raise ValueError(f"matrix shape {u.shape} does not match {k} modes")
@@ -180,7 +192,11 @@ def apply_transform(state: FockState, t: ModeTransform) -> FockState:
     output amplitude is such a sum, so the result has the bits of the
     term-by-term expansion, each a ``numpy.complex128``.  A term with no
     photon in ``t.modes`` is passed on as the Python ``complex`` 0j + amp.
+    Raises ValueError unless ``state`` is a FockState and ``t`` a
+    ModeTransform, or for more than MAX_PHOTONS_PER_MODE photons in a mode.
     """
+    _instance("state", state, FockState)
+    _instance("t", t, ModeTransform)
     pos = tuple(_position(state.register, m) for m in t.modes)
     if not state.amps:
         return FockState(state.register, {})
@@ -265,6 +281,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
     # per term, the occupied columns it substitutes in turn; per term with
     # any, its monomials so far, each with its entry's index within the term
     rounds = [[(j, occ[p]) for j, p in enumerate(pos) if occ[p]] for occ in occs]
+    _check_photons(nj for r in rounds for _, nj in r)
     touched = [i for i, r in enumerate(rounds) if r]
     polys = [{(0,) * k: 0} for _ in touched]
     levels, picks = [], []
@@ -318,6 +335,7 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
                 outs.append(keys.setdefault(tuple(out), len(keys)))
         else:
             plain.append((keys.setdefault(occ, len(keys)), i))
+    _check_photons(n for poly in polys for mono in poly for n in mono)
     return _Plan(
         np.array([l * k + j for l, j, _ in factors], dtype=np.intp),
         tuple((i, m) for i, (_, _, m) in enumerate(factors) if m > 1),
@@ -332,6 +350,16 @@ def _plan(occs: tuple[tuple[int, ...], ...], pos: tuple[int, ...], nonzero: byte
         tuple(keys),
         tuple(plain),
     )
+
+
+def _check_photons(counts) -> None:
+    """ValueError if a count of photons in one transformed mode exceeds the limit."""
+    most = max(counts, default=0)
+    if most > MAX_PHOTONS_PER_MODE:
+        raise ValueError(
+            f"a transformed mode would hold {most} photons; at most "
+            f"{MAX_PHOTONS_PER_MODE}, since {MAX_PHOTONS_PER_MODE + 1}! is beyond a float"
+        )
 
 
 def _padded(lists: list[list], fill) -> np.ndarray:
@@ -354,13 +382,16 @@ def postselect(
     pattern must be empty; the selection is an exclusive detection
     event.  Returns the renormalized surviving component and its
     squared-norm probability.  An empty survivor yields an empty state
-    and probability 0.0 rather than a division by zero.
+    and probability 0.0 rather than a division by zero.  Raises ValueError
+    unless ``state`` is a FockState and ``pattern`` a dict of counts.
     """
+    _instance("state", state, FockState)
     try:
-        pairs = _path_pairs(tuple(state.register), tuple(pattern.items()))
-    except TypeError:  # a count the table cannot be keyed on, such as a list
+        pairs = _path_pairs(state.register, tuple(pattern.items()))
+    # not a mapping, or a count the table cannot be keyed on, such as a list
+    except (AttributeError, TypeError):
         raise ValueError(
-            f"pattern must map path labels to photon counts, got {pattern!r}"
+            f"pattern must map path labels to photon counts, got {_shown(pattern)}"
         ) from None
     kept: dict[tuple[int, ...], complex] = {}
     prob = 0.0

@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._checks import _parse, _real, _shown, check_gamma
+from ._checks import _instance, _parse, _real, _shown, check_gamma
 from .family import state_at
 
 #: Largest pair-emission strength the truncated expansion supports;
@@ -69,17 +69,13 @@ class NoiseConfig:
         else, and for keys that are not fields."""
         data = _parse("text", json.loads, text, "a JSON str or bytes")
         if not isinstance(data, dict):
-            raise ValueError("noise configuration must be a JSON object")
+            raise ValueError(
+                f"noise configuration text must hold a JSON object, got {type(data).__name__}"
+            )
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown noise configuration keys: {unknown}")
         return cls(**data)
-
-
-def _check_config(cfg) -> None:
-    """ValueError naming cfg unless it is a NoiseConfig."""
-    if not isinstance(cfg, NoiseConfig):
-        raise ValueError(f"cfg must be a NoiseConfig, got {_shown(cfg)}")
 
 
 def _third_order_branches(gamma: float) -> tuple[np.ndarray, float]:
@@ -139,7 +135,7 @@ def higher_order_fourfolds(gamma: float, cfg: NoiseConfig) -> tuple[float, float
     emission orders. Visibility and white noise leave both unchanged.
     """
     g = check_gamma(gamma)
-    _check_config(cfg)
+    _instance("cfg", cfg, NoiseConfig)
     return noise_report(g, replace(cfg, visibility=1.0, depolarizing_q=0.0))[:2]
 
 
@@ -151,7 +147,7 @@ def noisy_density_matrix(gamma: float, cfg: NoiseConfig) -> np.ndarray:
     With the default config this is exactly the ideal projector.
     """
     g = check_gamma(gamma)
-    _check_config(cfg)
+    _instance("cfg", cfg, NoiseConfig)
     if cfg.efficiency == 1.0:
         # no six-photon event leaks in, so the pipeline need not run
         cfg = replace(cfg, pair_probability=0.0)
@@ -171,7 +167,7 @@ def noise_report(gamma: float, cfg: NoiseConfig) -> tuple[float, float, np.ndarr
     white noise q makes the final state (1-q) rho + q I/16.
     """
     g = check_gamma(gamma)
-    _check_config(cfg)
+    _instance("cfg", cfg, NoiseConfig)
     rho = state_at(g).state.density()
     v = cfg.visibility
     if v != 1.0:

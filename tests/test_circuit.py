@@ -22,7 +22,8 @@ from bellghz.circuit import (
     to_qubits,
 )
 from bellghz.family import alpha, probability, state_at
-from bellghz.fock import FockState, Mode, ModeTransform, apply_transform, postselect
+from bellghz.fock import (MAX_PHOTONS_PER_MODE, FockState, Mode, ModeTransform,
+                          apply_transform, postselect)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -107,6 +108,13 @@ def test_source_terms_equal_the_photon_list_construction():
 def test_spdc_term_rejects_orders_that_are_not_positive_integers(order):
     with pytest.raises(ValueError, match="emission order"):
         spdc_term(order)
+
+
+def test_spdc_term_stops_at_the_photon_limit():
+    # order k puts k photons in mode aH, which a transform can carry up to 170 of
+    assert len(spdc_term(MAX_PHOTONS_PER_MODE).amps) == MAX_PHOTONS_PER_MODE + 1
+    with pytest.raises(ValueError, match=r"emission order must lie in \[1, 170\], got 171"):
+        spdc_term(MAX_PHOTONS_PER_MODE + 1)
 
 
 def test_half_wave_plate_matrix():

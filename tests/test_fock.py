@@ -8,6 +8,7 @@ import pytest
 
 from bellghz import circuit
 from bellghz.fock import (
+    MAX_PHOTONS_PER_MODE,
     PLAN_CACHE_SIZE,
     PRUNE_EPS,
     FockState,
@@ -623,6 +624,22 @@ def test_many_photons_in_one_mode_split_binomially(n):
     assert len(out.amps) == n + 1
     for k in range(n + 1):
         assert abs(out.amps[(k, n - k)] - math.sqrt(math.comb(n, k)) * c**k * s ** (n - k)) <= 1e-15
+
+
+def test_a_transformed_mode_holds_at_most_170_photons():
+    # 170! is the largest factorial a float holds; amplitudes below PRUNE_EPS are dropped
+    n, theta = MAX_PHOTONS_PER_MODE, 0.3
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    plate = circuit.half_wave_plate("a", theta)
+    out = apply_transform(FockState((AH, AV), {(n, 0): 1.0}), plate)
+    for k in range(n + 1):
+        want = math.sqrt(math.comb(n, k)) * c**k * s ** (n - k)
+        assert abs(out.amps.get((k, n - k), 0.0) - want) <= 1e-13
+    assert abs(out.norm_sq() - 1.0) <= 1e-13
+    # one photon more, before the transform or after it
+    for occ in ((n + 1, 0), (100, 100)):
+        with pytest.raises(ValueError, match=rf"would hold {sum(occ)} photons; at most {n}\b"):
+            apply_transform(FockState((AH, AV), {occ: 1.0}), plate)
 
 
 def test_terms_without_a_transformed_photon_keep_python_complex():

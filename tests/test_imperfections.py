@@ -1,5 +1,6 @@
 """Noise-model behavior: emission orders, loss, visibility, white noise."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from bellghz.circuit import (
     pipeline_transform,
     run_pipeline,
     source_term_coincidences,
+    source_terms,
     spdc_term,
     to_qubits,
 )
@@ -478,6 +480,34 @@ def test_third_order_branches_equal_the_path_list_oracle_byte_for_byte():
         assert rho.tobytes() == want_rho.tobytes()
 
 
+#: The register positions of the output modes eH, eV, fH, ..., hV.
+OUTS = [i for i, m in enumerate(REGISTER) if m.spatial in COINCIDENCE_PATTERN]
+
+
+def _coincidence(bits):
+    """The occupation of basis state ``bits``: qubit k is path k of the outputs
+    (H = 0, V = 1), qubit 1 most significant."""
+    occ = [0] * len(REGISTER)
+    for k in range(4):
+        occ[OUTS[2 * k + ((bits >> (3 - k)) & 1)]] += 1
+    return occ
+
+
+COINCIDENCES = [_coincidence(bits) for bits in range(16)]
+
+
+def three_point_tables(f):
+    """(T0, T1, T2) of f(gamma) = T0 + T1 cos 4g + T2 cos 8g, solved at 0, pi/8
+    and pi/4, where (cos 4g, cos 8g) is (1, 1), (0, -1) and (-1, 1)."""
+    at_0, at_8, at_4 = map(f, (0.0, math.pi / 8, math.pi / 4))
+    return ((at_0 + at_4) / 2 + at_8) / 2, (at_0 - at_4) / 2, ((at_0 + at_4) / 2 - at_8) / 2
+
+
+def three_point_form(tables, gamma):
+    t0, t1, t2 = tables
+    return t0 + t1 * math.cos(4 * gamma) + t2 * math.cos(8 * gamma)
+
+
 def third_order_branches_by_permanents(gamma):
     """The loss-branch sum rho3 with every six-photon amplitude a permanent: no Fock engine.
 
@@ -485,19 +515,11 @@ def third_order_branches_by_permanents(gamma):
     coincidence c with the amplitude of c + 1_i + 1_j times the loss factor
     sqrt(n_i n_j), or sqrt(n_i (n_i - 1) / 2) for i == j. Branches add incoherently.
     """
-    outs = [i for i, m in enumerate(REGISTER) if m.spatial in COINCIDENCE_PATTERN]
-    # qubit k is path k of the outputs (H = 0, V = 1), qubit 1 most significant
-    coincidences = []
-    for bits in range(16):
-        occ = [0] * len(REGISTER)
-        for k in range(4):
-            occ[outs[2 * k + ((bits >> (3 - k)) & 1)]] += 1
-        coincidences.append(occ)
     u = pipeline_transform(gamma).embedded(REGISTER)
     rho = np.zeros((16, 16), dtype=complex)
-    for a, i in enumerate(outs):
-        for j in outs[a:]:
-            lit = [list(c) for c in coincidences]
+    for a, i in enumerate(OUTS):
+        for j in OUTS[a:]:
+            lit = [list(c) for c in COINCIDENCES]
             for n in lit:
                 n[i] += 1
                 n[j] += 1
@@ -508,13 +530,30 @@ def third_order_branches_by_permanents(gamma):
     return rho
 
 
+def mixture_by_permanents(gamma):
+    """The visibility mixture M = sum_t w_t |phi_t><phi_t| over the three
+    :func:`source_terms` propagated one by one, every amplitude a permanent:
+    no Fock engine.  Term t reaches the coincidences with probability w_t."""
+    u = pipeline_transform(gamma).embedded(REGISTER)
+    psis = [amplitudes_by_permanents(term, u, COINCIDENCES) for term in source_terms()]
+    return sum(np.outer(psi, psi.conj()) for psi in psis)
+
+
+@functools.cache
+def rho3_tables():
+    """(A0, A1, A2) of rho3(gamma) = A0 + A1 cos 4g + A2 cos 8g, from permanents."""
+    return three_point_tables(third_order_branches_by_permanents)
+
+
+@functools.cache
+def mixture_tables():
+    """(B0, B1, B2) of M(gamma) = B0 + B1 cos 4g + B2 cos 8g, from permanents."""
+    return three_point_tables(mixture_by_permanents)
+
+
 def test_third_order_branches_equal_the_permanent_closed_form():
-    # rho3(gamma) = A0 + A1 cos 4g + A2 cos 8g, solved at 0, pi/8 and pi/4, where
-    # (cos 4g, cos 8g) is (1, 1), (0, -1) and (-1, 1)
-    at_0, at_8, at_4 = map(third_order_branches_by_permanents, (0.0, math.pi / 8, math.pi / 4))
-    a1 = (at_0 - at_4) / 2
-    a0 = ((at_0 + at_4) / 2 + at_8) / 2
-    a2 = ((at_0 + at_4) / 2 - at_8) / 2
+    # rho3(gamma) = A0 + A1 cos 4g + A2 cos 8g, solved at 0, pi/8 and pi/4
+    a0, a1, a2 = rho3_tables()
     for a, trace, nonzero in ((a0, Fraction(39, 32), 68), (a1, Fraction(-3, 4), 52),
                               (a2, Fraction(9, 32), 36)):
         # real symmetric tables of multiples of 1/64, with the traces of q3's closed form
@@ -526,16 +565,84 @@ def test_third_order_branches_equal_the_permanent_closed_form():
     # the form holds off the solved points too, permanents against permanents
     for gamma in (math.pi / 12, 0.5):
         rho = third_order_branches_by_permanents(gamma)
-        want = a0 + a1 * math.cos(4 * gamma) + a2 * math.cos(8 * gamma)
-        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rho, three_point_form(rho3_tables(), gamma), rtol=0, atol=1e-14)
     rng = np.random.default_rng(25)
     for gamma in [0.0, math.pi / 12, math.pi / 8, math.pi / 4, *rng.uniform(0, math.pi / 4, 60)]:
         gamma = float(gamma)
         rho, q = _third_order_branches(gamma)
-        want = a0 + a1 * math.cos(4 * gamma) + a2 * math.cos(8 * gamma)
-        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rho, three_point_form(rho3_tables(), gamma), rtol=0, atol=1e-14)
         want_q = 39 / 32 - 3 / 4 * math.cos(4 * gamma) + 9 / 32 * math.cos(8 * gamma)
         assert q == pytest.approx(want_q, rel=0, abs=1e-14)
+
+
+def test_visibility_mixture_equals_the_permanent_closed_form():
+    # M(gamma) = B0 + B1 cos 4g + B2 cos 8g, solved at 0, pi/8 and pi/4
+    for b, trace in zip(mixture_tables(), (Fraction(5, 48), Fraction(-4, 48), Fraction(3, 48))):
+        # real symmetric tables of multiples of 1/96, whose traces add up to p(gamma):
+        # 48 p = 5 - 4 cos 4g + 3 cos 8g
+        table = np.round(96 * b.real)
+        np.testing.assert_allclose(96 * b, table, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(table, table.T)
+        assert np.trace(b) == pytest.approx(float(trace), rel=0, abs=1e-14)
+    for gamma in (math.pi / 12, 0.5):
+        mixture = mixture_by_permanents(gamma)
+        np.testing.assert_allclose(mixture, three_point_form(mixture_tables(), gamma),
+                                   rtol=0, atol=1e-14)
+    # the Fock engine's terms, one by one, on a grid and on seeded angles
+    rng = np.random.default_rng(26)
+    for gamma in [*np.linspace(0, math.pi / 4, 21), *rng.uniform(0, math.pi / 4, 40)]:
+        gamma = float(gamma)
+        terms = source_term_coincidences(gamma)
+        mixture = sum(weight * np.outer(phi, phi.conj()) for weight, phi in terms)
+        want = three_point_form(mixture_tables(), gamma)
+        np.testing.assert_allclose(mixture, want, rtol=0, atol=1e-14)
+        assert np.trace(want).real == pytest.approx(probability(gamma), rel=0, abs=1e-14)
+
+
+def noise_report_by_closed_forms(gamma, cfg):
+    """(fidelity, weight, state) of ``noise_report`` from the closed forms alone:
+    the family state, p(gamma), and the tables of M and rho3."""
+    psi = state_at(gamma).state.vec
+    ideal = np.outer(psi, psi.conj())
+    p = probability(gamma)
+    v, tau, eta, q = cfg.visibility, cfg.pair_probability, cfg.efficiency, cfg.depolarizing_q
+    rho = v * ideal + (1 - v) * three_point_form(mixture_tables(), gamma) / p
+    weight_double = 3 * tau**4 * eta**4 * p
+    c3 = 4 * tau**6 * eta**4 * (1 - eta) ** 2
+    rho3 = three_point_form(rho3_tables(), gamma)
+    q3 = 39 / 32 - 3 / 4 * math.cos(4 * gamma) + 9 / 32 * math.cos(8 * gamma)
+    weight = weight_double + c3 * q3
+    fidelity = 1.0
+    if weight:
+        fidelity = (weight_double + c3 * np.vdot(psi, rho3 @ psi).real) / weight
+        rho = (weight_double * rho + c3 * rho3) / weight
+    return fidelity, weight, (1 - q) * rho + q * np.eye(16) / 16
+
+
+def test_noise_report_equals_the_closed_forms():
+    rng = np.random.default_rng(27)
+    configs = [
+        (0.3, NoiseConfig()),
+        (0.2, NoiseConfig(visibility=0.0)),
+        (0.7, NoiseConfig(visibility=0.6, depolarizing_q=0.25)),
+        (0.5, NoiseConfig(pair_probability=0.1, efficiency=1.0, visibility=0.4)),
+        (0.1, NoiseConfig(pair_probability=0.08, efficiency=0.3, visibility=1.0)),
+        (PSI4P_GAMMA, NoiseConfig(pair_probability=0.05, efficiency=0.2, visibility=0.0,
+                                  depolarizing_q=1.0)),
+    ]
+    for _ in range(40):
+        configs.append((float(rng.uniform(0, math.pi / 4)), NoiseConfig(
+            pair_probability=float(rng.uniform(0, MAX_PAIR_PROBABILITY)),
+            efficiency=float(rng.uniform(0.05, 1.0)),
+            visibility=float(rng.uniform(0.0, 1.0)),
+            depolarizing_q=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),
+        )))
+    for gamma, cfg in configs:
+        fidelity, weight, rho = noise_report(gamma, cfg)
+        want_fidelity, want_weight, want_rho = noise_report_by_closed_forms(gamma, cfg)
+        assert fidelity == pytest.approx(want_fidelity, rel=0, abs=1e-13), (gamma, cfg)
+        assert weight == pytest.approx(want_weight, rel=1e-13, abs=0), (gamma, cfg)
+        np.testing.assert_allclose(rho, want_rho, rtol=0, atol=1e-13, err_msg=str((gamma, cfg)))
 
 
 @pytest.mark.parametrize("call", [

@@ -1,8 +1,10 @@
 """One boundary contract for every public callable.
 
-Each parameter of each callable in ``bellghz.__all__``, read with
-``inspect.signature``, gets every hostile value in turn, the other
-arguments valid, and must answer with a ValueError that names it, quickly.
+Each parameter of each callable in ``bellghz.__all__``, of the ``fock``
+and ``circuit`` callables a pipeline is built from, and of the public
+methods that take an argument, read with ``inspect.signature``, gets
+every hostile value in turn, the other arguments valid, and must answer
+with a ValueError that names it, quickly.
 """
 
 import inspect
@@ -14,8 +16,10 @@ import numpy as np
 import pytest
 
 import bellghz
+from bellghz import circuit, fock
 
 MIXED = np.eye(16, dtype=complex) / 16.0
+AH, AV = fock.Mode("a", "H"), fock.Mode("a", "V")
 
 HOSTILE = {
     "True": True,
@@ -48,6 +52,12 @@ def _counts_file():
     fresh temporary one."""
     bellghz.write_counts(_records(), "counts.csv")
     return "counts.csv"
+
+
+def _coincidence():
+    """The pipeline's double-pair emission at gamma = 0.1, post-selected."""
+    out = fock.apply_transform(circuit.spdc_term(2), circuit.pipeline_transform(0.1))
+    return fock.postselect(out, circuit.COINCIDENCE_PATTERN)[0]
 
 
 #: Valid arguments of each public callable, by parameter name; a callable is
@@ -88,6 +98,17 @@ VALID = {
     "state_at": lambda: dict(gamma=0.1),
     "three_tangle": lambda: dict(vec=np.ones(8)),
     "write_counts": lambda: dict(records=_records(), path="out.csv"),
+    "fock.FockState": lambda: dict(register=(AH, AV), amps={(1, 0): 1.0}),
+    "fock.ModeTransform": lambda: dict(modes=(AH, AV), matrix=np.eye(2)),
+    "fock.apply_transform": lambda: dict(state=circuit.spdc_term(1),
+                                         t=circuit.half_wave_plate("a", 0.3)),
+    "fock.postselect": lambda: dict(state=circuit.spdc_term(1), pattern={"a": 1, "b": 1}),
+    "circuit.spdc_term": lambda: dict(order=2),
+    "circuit.to_qubits": lambda: dict(state=_coincidence()),
+    "QubitState4.overlap": lambda: dict(other=bellghz.state_at(0.2).state),
+    "CorrelationTensor.nonzero_terms": lambda: dict(tol=1e-10),
+    "NoiseConfig.from_json": lambda: dict(text="{}"),
+    "DensityMatrix.from_json": lambda: dict(text=bellghz.DensityMatrix(MIXED).to_json()),
 }
 
 #: Hostile values a parameter accepts as valid, and why.
@@ -107,8 +128,22 @@ EXEMPT = {
 }
 
 
-PUBLIC = [name for name in bellghz.__all__
-          if callable(getattr(bellghz, name)) and name not in RECORDS]
+#: Each callable by its name in the table: every one in ``bellghz.__all__``
+#: but the records, then the other boundaries the README lists.
+PUBLIC = {
+    **{name: getattr(bellghz, name) for name in bellghz.__all__
+       if callable(getattr(bellghz, name)) and name not in RECORDS},
+    "fock.FockState": fock.FockState,
+    "fock.ModeTransform": fock.ModeTransform,
+    "fock.apply_transform": fock.apply_transform,
+    "fock.postselect": fock.postselect,
+    "circuit.spdc_term": circuit.spdc_term,
+    "circuit.to_qubits": circuit.to_qubits,
+    "QubitState4.overlap": bellghz.state_at(0.1).state.overlap,
+    "CorrelationTensor.nonzero_terms": bellghz.correlations(MIXED).nonzero_terms,
+    "NoiseConfig.from_json": bellghz.NoiseConfig.from_json,
+    "DensityMatrix.from_json": bellghz.DensityMatrix.from_json,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -137,16 +172,16 @@ def _call_in_time(call, kwargs):
 def test_every_public_callable_has_valid_arguments():
     # a new callable, or a new parameter, joins the table below through here
     assert set(PUBLIC) == set(VALID)
-    for name in PUBLIC:
-        assert set(VALID[name]()) == set(inspect.signature(getattr(bellghz, name)).parameters)
+    for name, call in PUBLIC.items():
+        assert set(VALID[name]()) == set(inspect.signature(call).parameters)
 
 
 @pytest.mark.parametrize("name, parameter", [
-    (name, parameter) for name in PUBLIC
-    for parameter in inspect.signature(getattr(bellghz, name)).parameters
+    (name, parameter) for name, call in PUBLIC.items()
+    for parameter in inspect.signature(call).parameters
 ], ids=lambda part: part)
 def test_hostile_argument_raises_value_error_naming_it(name, parameter):
-    call = getattr(bellghz, name)
+    call = PUBLIC[name]
     _call_in_time(call, VALID[name]())  # the valid arguments pass
     failures = []
     for label, bad in HOSTILE.items():
