@@ -1,8 +1,9 @@
-"""Input checks that need no numpy.
+"""Input checks that need no numpy at import.
 
 The CLI runs them on its flags before any command loads numpy, so a
 usage error costs no numeric import; the library modules import them
-from here.
+from here.  :func:`_numbers`, the one reader of array arguments, imports
+numpy when it is called.
 """
 
 from __future__ import annotations
@@ -74,10 +75,34 @@ def _shots(name: str, shots) -> None:
         )
 
 
+def _numbers(name: str, value, shape: tuple[int, ...], dtype: type = complex):
+    """``value`` read by ``np.asarray`` as ``dtype``, without a copy.
+
+    ValueError naming ``name`` unless it reads as numbers (for a real
+    ``dtype``, not complex ones, which numpy would cast with a warning
+    only), of exactly ``shape``, and all finite.
+    """
+    import numpy as np
+
+    try:
+        if dtype is not complex and np.iscomplexobj(value):
+            raise TypeError
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        kind = "complex" if dtype is complex else "real"
+        raise ValueError(f"{name} must be {kind} numbers, got {type(value).__name__}") from None
+    if arr.shape != shape:
+        dims = "x".join(map(str, shape)) if len(shape) > 1 else f"length-{shape[0]}"
+        raise ValueError(f"{name} must be a {dims} array, got shape {arr.shape}")
+    # the ufunc's own reduction: .all() would add a Python call
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise ValueError(f"{name} must hold finite numbers")
+    return arr
+
+
 def check_gamma(gamma: float) -> float:
     """``gamma`` as a float in [0, pi/4]; ValueError naming gamma otherwise."""
-    # a float is the common case: alpha and probability check every angle they get
-    g = (gamma if type(gamma) is float else _real("gamma", gamma)) + 0.0
+    g = _real("gamma", gamma) + 0.0
     # -0.0 + 0.0 is +0.0: an angle of -0 is returned as 0
     if not GAMMA_MIN <= g <= GAMMA_MAX:
         raise ValueError(

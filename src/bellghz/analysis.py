@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _nonnegative_int, _parse, _real, _shown, check_gamma
-from .family import CLASS_NAMES, QubitState4, _amplitude_vector, _amplitudes, alpha, state_at
+from ._checks import _nonnegative_int, _numbers, _parse, _real, _shown, check_gamma
+from .family import CLASS_NAMES, QubitState4, _amplitudes, alpha, state_at
 
 #: Axis labels of the correlation tensor, in index order.
 AXES = "0xyz"
@@ -31,6 +31,12 @@ PAULI = {
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 _PAULI_STACK = np.stack([PAULI[a] for a in AXES])
+# Bras of the +/- eigenvectors per measurement letter, row 0 = +.
+_BRAS = {
+    "x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+    "y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0),
+    "z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+}
 
 #: All 81 measurement settings in lexicographic order.
 SETTINGS = tuple("".join(s) for s in itertools.product(SETTING_AXES, repeat=4))
@@ -88,21 +94,9 @@ def as_density(state, name: str = "state") -> np.ndarray:
     """
     if isinstance(state, DensityMatrix) and not state.matrix.flags.writeable:
         return state.matrix
-    if isinstance(state, QubitState4):
-        mat = state.density()
-    else:
-        try:
-            mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                f"{name} must be a QubitState4 or a 16x16 matrix of numbers, "
-                f"got {type(state).__name__}"
-            ) from None
-    if mat.shape != (16, 16):
-        raise ValueError(f"{name} must be a 16x16 density matrix, got shape {mat.shape}")
-    # the ufuncs' own reductions: .all() and .max() would each add a Python call
-    if not np.logical_and.reduce(np.isfinite(mat), axis=None):
-        raise ValueError(f"{name} must be a finite density matrix")
+    mat = state.density() if isinstance(state, QubitState4) else getattr(state, "matrix", state)
+    mat = _numbers(name, mat, (16, 16))
+    # the ufunc's own reduction: .max() would add a Python call
     if np.maximum.reduce(np.abs(mat - mat.conj().T), axis=None) > DM_TOL:
         raise ValueError(f"{name} must be a Hermitian density matrix")
     if abs(mat.trace() - 1.0) > DM_TOL:
@@ -172,19 +166,8 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        try:
-            # numpy casts a complex array to float with a warning only
-            if np.iscomplexobj(self.values):
-                raise TypeError
-            vals = np.array(self.values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                f"values must be real numbers, got {type(self.values).__name__}"
-            ) from None
-        if vals.shape != (4, 4, 4, 4):
-            raise ValueError(f"values must be a 4x4x4x4 real tensor, got shape {vals.shape}")
-        # negated, so that a NaN, which fails both comparisons, is rejected too
-        if not (abs(vals[0, 0, 0, 0] - 1.0) <= DM_TOL and np.abs(vals).max() <= 1.0 + DM_TOL):
+        vals = np.array(_numbers("values", self.values, (4, 4, 4, 4), float))
+        if abs(vals[0, 0, 0, 0] - 1.0) > DM_TOL or np.abs(vals).max() > 1.0 + DM_TOL:
             raise ValueError("values are not correlations of a unit-trace state")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -521,9 +504,9 @@ def three_tangle(vec) -> float:
 
     Det is the degree-4 hyperdeterminant of the 2x2x2 amplitude tensor;
     it vanishes on product and W-class states and reaches 1/4 on GHZ.
-    Raises ValueError naming ``vec`` unless it holds 8 finite numbers.
+    Raises ValueError naming ``vec`` unless it is a flat array of 8 finite numbers.
     """
-    a = _amplitude_vector("vec", vec, 8)
+    a = _numbers("vec", vec, (8,))
     norm = np.linalg.norm(a)
     if norm < 1e-12:
         raise ValueError("cannot compute the tangle of a null vector")
@@ -546,11 +529,12 @@ class DickeProjection(NamedTuple):
     tangle: float
 
 
+# the z and x eigenvectors are real, so each bra is its ket too
 _PROJECTION_VECTORS = {
-    ("HV", "H"): np.array([1.0, 0.0], dtype=complex),
-    ("HV", "V"): np.array([0.0, 1.0], dtype=complex),
-    ("PM", "+"): np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    ("PM", "-"): np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
+    ("HV", "H"): _BRAS["z"][0],
+    ("HV", "V"): _BRAS["z"][1],
+    ("PM", "+"): _BRAS["x"][0],
+    ("PM", "-"): _BRAS["x"][1],
 }
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import _instance, _nonnegative_int, _shown, check_gamma
+from ._checks import _instance, _nonnegative_int, _real, _shown, check_gamma
 from .family import QubitState4
 from .fock import (
     MAX_PHOTONS_PER_MODE, FockState, Mode, ModeTransform, _path_pairs, apply_transform, postselect,
@@ -43,7 +43,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def half_wave_plate(spatial: str, theta: float) -> ModeTransform:
-    """Half-wave plate at optical-axis angle ``theta`` in one path."""
+    """Half-wave plate at optical-axis angle ``theta`` in one path.
+
+    Raises ValueError unless ``spatial`` is a str and ``theta`` a finite real number.
+    """
+    _instance("spatial", spatial, str)
+    theta = _real("theta", theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite real number, got {theta!r}")
     c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
     return ModeTransform(
         (Mode(spatial, "H"), Mode(spatial, "V")),
@@ -81,8 +88,11 @@ def fifty_fifty_splitter(src: str, out_a: str, out_b: str) -> ModeTransform:
 
     The source creation operator maps to (out_a + i out_b)/sqrt(2) for
     each polarization; the unused input port of the physical device is
-    the vacuum, and the completion columns only route it back.
+    the vacuum, and the completion columns only route it back.  Raises
+    ValueError unless ``src``, ``out_a`` and ``out_b`` are each a str.
     """
+    for name, path in (("src", src), ("out_a", out_a), ("out_b", out_b)):
+        _instance(name, path, str)
     block = np.array(
         [
             [0.0, 1.0, 0.0],

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # the checks live where the CLI can run them without numpy
-from ._checks import GAMMA_MAX, GAMMA_MIN, _instance, _real, _shown, check_gamma
+from ._checks import GAMMA_MAX, GAMMA_MIN, _instance, _numbers, _real, _shown, check_gamma
 
 #: Modulus classes of the correlation tensor, named by one representative
 #: index string over {0, x, y, z} (0 = identity slot).
@@ -57,31 +57,18 @@ def _alpha_probability(g: float) -> tuple[float, float]:
     return 2.0 * c4 / math.sqrt(48.0 * p), p
 
 
-def _amplitude_vector(name: str, value, n: int) -> np.ndarray:
-    """``value`` as a flat array of ``n`` finite complex numbers; else ValueError naming it."""
-    try:
-        v = np.asarray(value, dtype=complex).reshape(-1)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} needs {n} amplitudes, got {type(value).__name__}") from None
-    if v.shape != (n,):
-        raise ValueError(f"{name} needs {n} amplitudes, got shape {np.shape(value)}")
-    if not np.logical_and.reduce(np.isfinite(v), axis=None):
-        raise ValueError(f"{name} must hold finite amplitudes")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class QubitState4:
     """Pure four-qubit state as 16 amplitudes in the computational basis.
 
-    Raises ValueError naming ``vec`` unless it holds 16 finite amplitudes;
-    ``vec`` is a read-only copy.
+    Raises ValueError naming ``vec`` unless it is a flat array of 16 finite
+    numbers; ``vec`` is a read-only copy.
     """
 
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = np.array(_amplitude_vector("vec", self.vec, 16))
+        vec = np.array(_numbers("vec", self.vec, (16,)))
         vec.flags.writeable = False
         object.__setattr__(self, "vec", vec)
 

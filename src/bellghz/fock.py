@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import compress, zip_longest
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ._checks import _instance, _shown
+from ._checks import _instance, _numbers, _shown
 
 #: Amplitudes at or below this magnitude are dropped after every expansion.
 #: Set below double-precision accumulation error so pruning never touches
@@ -91,9 +91,10 @@ class FockState:
             )
 
     @classmethod
-    def vacuum(cls, register: Sequence[Mode]) -> "FockState":
-        reg = tuple(register)
-        return cls(reg, {(0,) * len(reg): 1.0 + 0.0j})
+    def vacuum(cls, register: tuple[Mode, ...]) -> "FockState":
+        """The empty state on ``register``; ValueError naming it unless it is a tuple."""
+        _instance("register", register, tuple)
+        return cls(register, {(0,) * len(register): 1.0 + 0.0j})
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
@@ -121,15 +122,8 @@ class ModeTransform:
 
     def __post_init__(self) -> None:
         _instance("modes", self.modes, tuple)
-        try:
-            u = np.array(self.matrix, dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"matrix must be numbers, got {type(self.matrix).__name__}") from None
         k = len(self.modes)
-        if u.shape != (k, k):
-            raise ValueError(f"matrix shape {u.shape} does not match {k} modes")
-        if not np.isfinite(u).all():  # a NaN deviation would pass the bound below
-            raise ValueError("matrix must hold finite numbers")
+        u = np.array(_numbers("matrix", self.matrix, (k, k)))
         dev = np.max(np.abs(u.conj().T @ u - np.eye(k)))
         if dev > UNITARITY_TOL:
             raise ValueError(
@@ -139,11 +133,14 @@ class ModeTransform:
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
 
-    def embedded(self, register: Sequence[Mode]) -> np.ndarray:
-        """Expand to the full register, identity on untouched modes."""
-        reg = tuple(register)
-        pos = [_position(reg, m) for m in self.modes]
-        full = np.eye(len(reg), dtype=complex)
+    def embedded(self, register: tuple[Mode, ...]) -> np.ndarray:
+        """Expand to the full register, identity on untouched modes.
+
+        Raises ValueError naming ``register`` unless it is a tuple holding ``modes``.
+        """
+        _instance("register", register, tuple)
+        pos = [_position(register, m) for m in self.modes]
+        full = np.eye(len(register), dtype=complex)
         full[np.ix_(pos, pos)] = self.matrix
         return full
 

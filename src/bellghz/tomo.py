@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import (
-    SETTINGS, DensityMatrix, WitnessReport, _SETTING_TERMS, _density_from_terms,
+    SETTINGS, DensityMatrix, WitnessReport, _BRAS, _SETTING_TERMS, _density_from_terms,
     _density_matrix, as_density, evaluate_witness,
 )
 from ._checks import (
@@ -38,13 +38,6 @@ OUTCOMES = tuple(
     "".join("+-"[(o >> (3 - k)) & 1] for k in range(4)) for o in range(16)
 )
 _OUTCOME_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
-
-# Bras of the +/- eigenvectors per measurement letter, row 0 = +.
-_BRAS = {
-    "x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
-    "y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0),
-    "z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-}
 
 # entry [mask, o]: the product over the slots in subset mask of the sign (+1 for +,
 # -1 for -) of outcome o; the first slot is the most significant bit of both

@@ -163,9 +163,9 @@ def test_qubit_state_shape_checked():
 def test_qubit_state_rejects_non_finite_amplitudes_naming_vec(bad):
     vec = [0.25] * 16
     vec[5] = bad
-    with pytest.raises(ValueError, match="^vec must hold finite amplitudes"):
+    with pytest.raises(ValueError, match="^vec must hold finite numbers$"):
         QubitState4(vec)
-    with pytest.raises(ValueError, match="^vec must hold finite amplitudes"):
+    with pytest.raises(ValueError, match="^vec must hold finite numbers$"):
         QubitState4([bad] * 16)
 
 

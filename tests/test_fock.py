@@ -127,7 +127,7 @@ def test_non_finite_matrix_rejected():
 
 
 def test_matrix_shape_must_match_the_modes():
-    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match 2 modes"):
+    with pytest.raises(ValueError, match=r"^matrix must be a 2x2 array, got shape \(3, 3\)$"):
         ModeTransform((AH, AV), np.eye(3))
 
 

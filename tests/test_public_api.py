@@ -1,8 +1,8 @@
 """One boundary contract for every public callable.
 
-Each parameter of each callable in ``bellghz.__all__``, of the ``fock``
-and ``circuit`` callables a pipeline is built from, and of the public
-methods that take an argument, read with ``inspect.signature``, gets
+Each parameter of each callable in ``bellghz.__all__``, of the ``fock``,
+``circuit``, ``imperfections`` and ``tomo`` callables a pipeline is built
+from, and of the public methods that take an argument, read with ``inspect.signature``, gets
 every hostile value in turn, the other arguments valid, and must answer
 with a ValueError that names it, quickly.
 """
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import bellghz
-from bellghz import circuit, fock
+from bellghz import circuit, fock, imperfections, tomo
 
 MIXED = np.eye(16, dtype=complex) / 16.0
 AH, AV = fock.Mode("a", "H"), fock.Mode("a", "V")
@@ -103,8 +103,17 @@ VALID = {
     "fock.apply_transform": lambda: dict(state=circuit.spdc_term(1),
                                          t=circuit.half_wave_plate("a", 0.3)),
     "fock.postselect": lambda: dict(state=circuit.spdc_term(1), pattern={"a": 1, "b": 1}),
+    "fock.FockState.vacuum": lambda: dict(register=(AH, AV)),
+    "fock.ModeTransform.embedded": lambda: dict(register=circuit.REGISTER),
+    "circuit.half_wave_plate": lambda: dict(spatial="a", theta=0.3),
+    "circuit.fifty_fifty_splitter": lambda: dict(src="c", out_a="e", out_b="f"),
+    "circuit.standard_elements": lambda: dict(gamma=0.1),
+    "circuit.pipeline_transform": lambda: dict(gamma=0.1),
     "circuit.spdc_term": lambda: dict(order=2),
     "circuit.to_qubits": lambda: dict(state=_coincidence()),
+    "circuit.source_term_coincidences": lambda: dict(gamma=0.1),
+    "imperfections.noise_report": lambda: dict(gamma=0.1, cfg=bellghz.NoiseConfig()),
+    "tomo.setting_probabilities": lambda: dict(state=MIXED, setting="xxxx"),
     "QubitState4.overlap": lambda: dict(other=bellghz.state_at(0.2).state),
     "CorrelationTensor.nonzero_terms": lambda: dict(tol=1e-10),
     "NoiseConfig.from_json": lambda: dict(text="{}"),
@@ -125,6 +134,11 @@ EXEMPT = {
     # a str is a path: "1" is read as a missing file (an OSError) or written
     ("read_counts", "path"): {"'1'"},
     ("write_counts", "path"): {"'1'"},
+    # any str names a path
+    ("circuit.half_wave_plate", "spatial"): {"'1'"},
+    ("circuit.fifty_fifty_splitter", "src"): {"'1'"},
+    ("circuit.fifty_fifty_splitter", "out_a"): {"'1'"},
+    ("circuit.fifty_fifty_splitter", "out_b"): {"'1'"},
 }
 
 
@@ -137,8 +151,17 @@ PUBLIC = {
     "fock.ModeTransform": fock.ModeTransform,
     "fock.apply_transform": fock.apply_transform,
     "fock.postselect": fock.postselect,
+    "fock.FockState.vacuum": fock.FockState.vacuum,
+    "fock.ModeTransform.embedded": circuit.half_wave_plate("a", 0.3).embedded,
+    "circuit.half_wave_plate": circuit.half_wave_plate,
+    "circuit.fifty_fifty_splitter": circuit.fifty_fifty_splitter,
+    "circuit.standard_elements": circuit.standard_elements,
+    "circuit.pipeline_transform": circuit.pipeline_transform,
     "circuit.spdc_term": circuit.spdc_term,
     "circuit.to_qubits": circuit.to_qubits,
+    "circuit.source_term_coincidences": circuit.source_term_coincidences,
+    "imperfections.noise_report": imperfections.noise_report,
+    "tomo.setting_probabilities": tomo.setting_probabilities,
     "QubitState4.overlap": bellghz.state_at(0.1).state.overlap,
     "CorrelationTensor.nonzero_terms": bellghz.correlations(MIXED).nonzero_terms,
     "NoiseConfig.from_json": bellghz.NoiseConfig.from_json,
@@ -199,3 +222,38 @@ def test_hostile_argument_raises_value_error_naming_it(name, parameter):
         else:
             failures.append(f"{label}: accepted")
     assert not failures, f"{name}({parameter}=...):\n" + "\n".join(failures)
+
+
+#: Each array boundary: a call taking the array, the parameter it names, a
+#: valid array, the kind of numbers it reads and the shape as messages write it.
+ARRAYS = {
+    "QubitState4": (bellghz.QubitState4, "vec", np.full(16, 0.25), "complex", "length-16"),
+    "three_tangle": (bellghz.three_tangle, "vec", np.ones(8), "complex", "length-8"),
+    "correlations": (bellghz.correlations, "state", MIXED, "complex", "16x16"),
+    "DensityMatrix": (bellghz.DensityMatrix, "matrix", MIXED, "complex", "16x16"),
+    "ModeTransform": (lambda m: fock.ModeTransform((AH, AV), m), "matrix", np.eye(2),
+                      "complex", "2x2"),
+    "CorrelationTensor": (bellghz.CorrelationTensor, "values",
+                          bellghz.correlations(MIXED).values, "real", "4x4x4x4"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_every_array_boundary_words_each_failure_alike(name):
+    call, parameter, good, kind, dims = ARRAYS[name]
+    call(good)
+    nan = good.copy()
+    nan.flat[1] = math.nan
+    wrong_shape = f"{parameter} must be a {dims} array, got shape"
+    cases = [
+        ([[1.0], [1.0, 2.0]], f"{parameter} must be {kind} numbers, got list"),
+        (np.append(good, 0.0), f"{wrong_shape} {(good.size + 1,)}"),
+        # the same entries in four rows, a (4, 4) vec among them: nothing is flattened
+        (good.reshape(4, -1), f"{wrong_shape} {(4, good.size // 4)}"),
+        (nan, f"{parameter} must hold finite numbers"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == message
+
